@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <set>
 
 #include "common/rng.hpp"
@@ -450,6 +451,122 @@ TEST(StreamingInferenceTest, EngineIsReusableAcrossSearches) {
   while (!engine.run_chunk(128)) {
   }
   expect_same_result(infer_heavy_keys(s, t), engine.take_result(), "reuse");
+}
+
+// Behaviour lock. Each row pins one seeded search: every counter of its
+// InferenceResult, plus a hash of the emitted keys and estimates in output
+// order. A change to the search's internals must leave every row unchanged;
+// the work meter, and with it every budget truncation point, is part of the
+// contract.
+struct LockedSearch {
+  const char* name;
+  ReversibleSketchConfig shape;
+  int num_heavy;
+  std::size_t stage_slack;
+  std::size_t max_heavy_per_stage;
+  std::size_t max_work;
+  std::size_t max_candidates;
+  // Pinned outcome.
+  std::size_t work_used;
+  std::size_t heavy_bucket_total;
+  std::size_t heavy_buckets_dropped;
+  bool truncated;
+  bool work_exhausted;
+  std::size_t num_keys;
+  std::uint64_t key_hash;
+};
+
+/// FNV-1a over (key, estimate bits) in output order.
+std::uint64_t hash_keys(const std::vector<HeavyKey>& keys) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const HeavyKey& k : keys) {
+    mix(k.key);
+    mix(std::bit_cast<std::uint64_t>(k.estimate));
+  }
+  return h;
+}
+
+/// 8000 unit-weight noise keys plus `num_heavy` keys of weight 500, drawn
+/// from the shape's seed. Searched at threshold 250.
+ReversibleSketch locked_sketch(const ReversibleSketchConfig& shape,
+                               int num_heavy) {
+  ReversibleSketch s(shape);
+  Pcg32 rng(shape.seed);
+  const std::uint64_t mask =
+      shape.key_bits == 64 ? ~0ULL : (1ULL << shape.key_bits) - 1;
+  for (int i = 0; i < 8000; ++i) s.update(rng.next64() & mask, 1.0);
+  for (int i = 0; i < num_heavy; ++i) s.update(rng.next64() & mask, 500.0);
+  return s;
+}
+
+constexpr ReversibleSketchConfig kRs48{48, 6, 12, 201};
+constexpr ReversibleSketchConfig kRs64{64, 6, 16, 202};
+constexpr ReversibleSketchConfig kRs48OneBit{48, 6, 6, 203};
+constexpr ReversibleSketchConfig kRs64OneBit{64, 6, 8, 204};
+constexpr ReversibleSketchConfig kThreeBitWords{32, 6, 12, 205};
+
+const LockedSearch kLockedSearches[] = {
+    // name, shape, heavy, slack, top-N, max_work, max_candidates,
+    // work_used, heavy total, dropped, truncated, exhausted, keys, hash
+    {"rs48_slack0", kRs48, 20, 0, 0, 0, 100000,
+     215298, 120, 0, false, false, 32, 0xf73a4e50afb20cbaULL},
+    {"rs48_slack1", kRs48, 20, 1, 0, 0, 100000,
+     1760565, 120, 0, false, false, 6072, 0xd54c5d000a14331aULL},
+    {"rs48_slack2", kRs48, 20, 2, 0, 0, 100000,
+     1219687, 120, 0, true, false, 100000, 0xf810cf7d1849e17fULL},
+    {"rs64_slack0", kRs64, 20, 0, 0, 0, 100000,
+     151996, 120, 0, false, false, 29, 0xc0e23a23c90931caULL},
+    {"rs64_slack1", kRs64, 20, 1, 0, 0, 100000,
+     1615093, 120, 0, false, false, 753, 0x459fe1f9b33531e9ULL},
+    {"rs64_slack2", kRs64, 20, 2, 0, 0, 100000,
+     2330916, 120, 0, true, false, 100000, 0x09546b346eaade75ULL},
+    {"rs48_1bit_slack0", kRs48OneBit, 1, 0, 0, 0, 100000,
+     111492, 6, 0, false, false, 30000, 0x1e6da588f144fb44ULL},
+    {"rs48_1bit_slack1", kRs48OneBit, 3, 1, 0, 0, 100000,
+     291052, 18, 0, true, false, 100000, 0x7ed1dacb4699c435ULL},
+    {"rs64_1bit_slack0", kRs64OneBit, 1, 0, 0, 0, 100000,
+     407748, 6, 0, true, false, 100000, 0xad5c2df8a4fd5b6dULL},
+    {"rs64_1bit_slack1", kRs64OneBit, 3, 1, 0, 0, 100000,
+     376318, 18, 0, true, false, 100000, 0x35fa112e9b81caf7ULL},
+    {"3bit_slack0", kThreeBitWords, 20, 0, 0, 0, 100000,
+     3335, 120, 0, false, false, 20, 0x4d0553eeaa70018dULL},
+    {"3bit_slack1", kThreeBitWords, 20, 1, 0, 0, 100000,
+     8085, 120, 0, false, false, 24, 0x0c7d4f6dfe978fbfULL},
+    {"3bit_slack2", kThreeBitWords, 20, 2, 0, 0, 100000,
+     28206, 120, 0, false, false, 146, 0x058cc794848d520eULL},
+    {"rs48_top_n", kRs48, 40, 1, 8, 0, 100000,
+     25981, 48, 192, false, false, 16, 0x9866da1de4cd4c15ULL},
+    {"rs64_max_work", kRs64, 20, 1, 0, 5000, 100000,
+     5003, 120, 0, false, true, 2, 0xca7df38b4fc03d93ULL},
+    {"rs48_max_candidates", kRs48, 40, 1, 0, 0, 25,
+     3134, 240, 0, true, false, 25, 0xc1fed1ae68eac01fULL},
+};
+
+TEST(ReverseInferenceLockTest, SearchOutcomesArePinned) {
+  for (const LockedSearch& row : kLockedSearches) {
+    SCOPED_TRACE(row.name);
+    const ReversibleSketch s = locked_sketch(row.shape, row.num_heavy);
+    InferenceOptions opts;
+    opts.stage_slack = row.stage_slack;
+    opts.max_heavy_per_stage = row.max_heavy_per_stage;
+    opts.max_work = row.max_work;
+    opts.max_candidates = row.max_candidates;
+    const InferenceResult r = infer_heavy_keys(s, 250.0, opts);
+    EXPECT_EQ(r.work_used, row.work_used);
+    EXPECT_EQ(r.heavy_bucket_total, row.heavy_bucket_total);
+    EXPECT_EQ(r.heavy_buckets_dropped, row.heavy_buckets_dropped);
+    EXPECT_EQ(r.truncated, row.truncated);
+    EXPECT_EQ(r.work_exhausted, row.work_exhausted);
+    EXPECT_EQ(r.keys.size(), row.num_keys);
+    EXPECT_EQ(hash_keys(r.keys), row.key_hash);
+    expect_same_result(r, run_streaming(s, 250.0, opts, 61), "chunked");
+  }
 }
 
 }  // namespace
