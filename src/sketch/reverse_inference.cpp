@@ -2,9 +2,18 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 namespace hifind {
 namespace {
+
+/// A 256-bit set of byte values held in one vector (GCC/Clang vector
+/// extension), so a node's mask algebra compiles to whole-register ops.
+using ByteMask = std::uint64_t __attribute__((vector_size(32)));
+
+void load(ByteMask& out, const std::array<std::uint64_t, 4>& mask) {
+  std::memcpy(&out, mask.data(), sizeof out);
+}
 
 /// Pops (and returns) the lowest set bit of a 256-bit mask, or -1 when the
 /// mask is empty. Ascending byte order keeps the DFS traversal — and with it
@@ -68,11 +77,6 @@ std::vector<std::vector<std::uint32_t>> heavy_buckets(
   return out;
 }
 
-std::uint32_t StreamingInference::sub_index(std::uint32_t index, int w) const {
-  const int shift = bits_per_word_ * (num_words_ - 1 - w);
-  return (index >> shift) & ((1u << bits_per_word_) - 1u);
-}
-
 void StreamingInference::begin(const ReversibleSketch& sketch,
                                double threshold,
                                const InferenceOptions& options,
@@ -86,37 +90,65 @@ void StreamingInference::begin(const ReversibleSketch& sketch,
   num_words_ = cfg.num_words();
   bits_per_word_ = cfg.bits_per_word();
   sub_range_ = std::size_t{1} << bits_per_word_;
-  // Quorum of at least one stage, and the miss-count planes hold at most
-  // 15 stages / misses up to 7 in the <=r formula.
-  effective_slack_ = std::min(options.stage_slack,
-                              std::min<std::size_t>(num_stages_ - 1, 7));
+  // Quorum of at least one stage.
+  effective_slack_ = std::min(options.stage_slack, num_stages_ - 1);
   result_ = InferenceResult{};
   depth_ = -1;
   done_ = true;
 
-  roots_ = std::move(stage_buckets);
-  result_.heavy_buckets_dropped = apply_top_n(sketch, options_, roots_);
-  for (const auto& b : roots_) result_.heavy_bucket_total += b.size();
-
-  // One reusable workspace per depth: the DFS holds exactly one active node
-  // per level, so sibling nodes share grouping storage. clear() inside
-  // enter_level keeps vector capacity, making the steady state
-  // allocation-free on stable shapes.
-  levels_.resize(static_cast<std::size_t>(num_words_));
-  for (auto& level : levels_) {
-    level.groups.resize(num_stages_ * sub_range_);
+  result_.heavy_buckets_dropped = apply_top_n(sketch, options_, stage_buckets);
+  std::size_t alive = 0;
+  for (const auto& b : stage_buckets) {
+    result_.heavy_bucket_total += b.size();
+    alive += b.empty() ? 0 : 1;
   }
-  child_.resize(num_stages_);
-  root_spans_.resize(num_stages_);
-
   // A key must be heavy in >= H - r stages; if fewer stages have any heavy
   // bucket at all, nothing can qualify.
-  std::size_t alive = 0;
-  for (const auto& b : roots_) alive += b.empty() ? 0 : 1;
   if (alive + effective_slack_ < num_stages_) return;  // done_, empty result
 
-  for (std::size_t h = 0; h < num_stages_; ++h) root_spans_[h] = roots_[h];
-  enter_level(0, 0, root_spans_);
+  // Once per search: the heavy-bucket bitmap, its rank table and, for
+  // narrow words, the alive-mask table. Storage is reused across begin()
+  // calls, so the steady state is allocation-free on stable shapes.
+  words_per_stage_ = (cfg.num_buckets() + 63) / 64;
+  heavy_bits_.assign(num_stages_ * words_per_stage_, 0);
+  heavy_rank_.resize(num_stages_ * (words_per_stage_ + 1));
+  for (std::size_t h = 0; h < num_stages_; ++h) {
+    std::uint64_t* bits = &heavy_bits_[h * words_per_stage_];
+    for (const std::uint32_t b : stage_buckets[h]) {
+      bits[b >> 6] |= std::uint64_t{1} << (b & 63);
+    }
+    std::uint32_t* rank = &heavy_rank_[h * (words_per_stage_ + 1)];
+    rank[0] = 0;
+    for (std::size_t i = 0; i < words_per_stage_; ++i) {
+      rank[i + 1] =
+          rank[i] + static_cast<std::uint32_t>(std::popcount(bits[i]));
+    }
+  }
+  alive_masks_.clear();
+  if (sub_range_ <= 4) {
+    const std::size_t sets = std::size_t{1} << sub_range_;
+    alive_masks_.resize(num_stages_ * static_cast<std::size_t>(num_words_) *
+                        sets);
+    for (std::size_t h = 0; h < num_stages_; ++h) {
+      for (int w = 0; w < num_words_; ++w) {
+        const WordHash& wh = sketch.word_hash(h, w);
+        auto* table = &alive_masks_[(h * num_words_ + w) * sets];
+        table[0] = {};
+        for (std::size_t set = 1; set < sets; ++set) {
+          const auto& m = wh.preimage_mask(
+              static_cast<std::uint8_t>(std::countr_zero(set)));
+          for (int i = 0; i < 4; ++i) {
+            table[set][i] = table[set & (set - 1)][i] | m[i];
+          }
+        }
+      }
+    }
+  }
+
+  levels_.resize(static_cast<std::size_t>(num_words_));
+  levels_[0].stage_prefix.fill(0);
+  levels_[0].prefix = 0;
+  enter_level(0);
   depth_ = 0;
   done_ = false;
 }
@@ -127,77 +159,93 @@ void StreamingInference::begin(const ReversibleSketch& sketch,
   begin(sketch, threshold, options, heavy_buckets(sketch, threshold));
 }
 
-void StreamingInference::enter_level(int w, std::uint64_t prefix,
-                                     std::span<const BucketSpan> consistent) {
+std::size_t StreamingInference::count_heavy(std::size_t h, std::uint64_t lo,
+                                            std::uint64_t n) const {
+  if (n >= 64) {  // whole words: a rank difference
+    const std::uint32_t* rank = &heavy_rank_[h * (words_per_stage_ + 1)];
+    return rank[(lo + n) >> 6] - rank[lo >> 6];
+  }
+  // Inside one word, because lo is a multiple of n.
+  const std::uint64_t word = heavy_bits_[h * words_per_stage_ + (lo >> 6)];
+  return static_cast<std::size_t>(
+      std::popcount((word >> (lo & 63)) & (~std::uint64_t{0} >> (64 - n))));
+}
+
+void StreamingInference::enter_level(int w) {
   Level& lvl = levels_[static_cast<std::size_t>(w)];
 
-  // Group each stage's consistent buckets by their sub-index at this word.
-  // groups[h * sub_range_ + v] = buckets with sub-index v in stage h.
-  auto& groups = lvl.groups;
-  for (auto& g : groups) g.clear();
-  std::size_t grouped = 0;
-  for (std::size_t h = 0; h < num_stages_; ++h) {
-    for (const std::uint32_t b : consistent[h]) {
-      groups[h * sub_range_ + sub_index(b, w)].push_back(b);
-    }
-    grouped += consistent[h].size();
-  }
+  // Stage h's consistent heavy buckets fill the 2^free_bits indices that
+  // start with stage_prefix[h]; the sub-index at word w splits them into
+  // sub_range_ parts of sub_len indices each.
+  const int free_bits = bits_per_word_ * (num_words_ - w);
+  const std::uint64_t sub_len = std::uint64_t{1}
+                                << (free_bits - bits_per_word_);
 
   // Viable bytes via 256-bit masks: a byte keeps stage h alive iff its
-  // word-hash value selects a non-empty group, i.e. iff it is in the union
-  // of those values' preimage masks. Count per-byte stage MISSES with a
-  // bit-sliced ripple adder (num_stages <= 15 => 4 planes) and keep bytes
-  // with miss count <= stage_slack. This replaces the 256 x H inner loop
-  // with ~40 word-wide ops per node.
-  std::array<std::uint64_t, 4> miss0{}, miss1{}, miss2{}, miss3{};
+  // word-hash value selects a non-empty part, i.e. iff it is in the union
+  // of those values' preimage masks. missed[k] holds the bytes that at
+  // least k stages have missed so far, so the bytes outside
+  // missed[stage_slack + 1] are viable: a few whole-mask ops per stage
+  // instead of a 256 x H loop.
+  const std::size_t planes = effective_slack_ + 1;
+  std::array<ByteMask, ReversibleSketch::kMaxStages + 1> missed;
+  for (std::size_t k = 1; k <= planes; ++k) missed[k] = ByteMask{};
+  std::size_t consistent = 0;
   for (std::size_t h = 0; h < num_stages_; ++h) {
-    std::array<std::uint64_t, 4> alive_mask{};
-    const WordHash& wh = sketch_->word_hash(h, w);
-    for (std::size_t v = 0; v < sub_range_; ++v) {
-      if (groups[h * sub_range_ + v].empty()) continue;
-      const auto& m = wh.preimage_mask(static_cast<std::uint8_t>(v));
-      for (int i = 0; i < 4; ++i) alive_mask[i] |= m[i];
+    const std::uint64_t lo = std::uint64_t{lvl.stage_prefix[h]} << free_bits;
+    ByteMask alive{};
+    if (alive_masks_.empty()) {  // wide words: OR the occupied parts' masks
+      const WordHash& wh = sketch_->word_hash(h, w);
+      for (std::size_t v = 0; v < sub_range_; ++v) {
+        const std::size_t n = count_heavy(h, lo + v * sub_len, sub_len);
+        if (n == 0) continue;
+        consistent += n;
+        ByteMask m;
+        load(m, wh.preimage_mask(static_cast<std::uint8_t>(v)));
+        alive |= m;
+      }
+    } else {
+      // Narrow words (bits_per_word <= 2): either the whole range lies in
+      // one bitmap word, or every part spans whole words.
+      std::size_t occupied = 0;  // bit v: part v holds a heavy bucket
+      if (free_bits <= 6) {
+        const std::uint64_t range =
+            (heavy_bits_[h * words_per_stage_ + (lo >> 6)] >> (lo & 63)) &
+            (~std::uint64_t{0} >> (64 - (sub_len << bits_per_word_)));
+        consistent += static_cast<std::size_t>(std::popcount(range));
+        const std::uint64_t part_mask = ~std::uint64_t{0} >> (64 - sub_len);
+        for (std::size_t v = 0; v < sub_range_; ++v) {
+          occupied |= std::size_t{((range >> (v * sub_len)) & part_mask) != 0}
+                      << v;
+        }
+      } else {
+        const std::uint32_t* rank =
+            &heavy_rank_[h * (words_per_stage_ + 1) + (lo >> 6)];
+        const std::uint64_t words_per_part = sub_len >> 6;
+        for (std::size_t v = 0; v < sub_range_; ++v) {
+          occupied |= std::size_t{rank[(v + 1) * words_per_part] !=
+                                  rank[v * words_per_part]}
+                      << v;
+        }
+        consistent += rank[sub_range_ * words_per_part] - rank[0];
+      }
+      load(alive,
+           alive_masks_[((h * num_words_ + w) << sub_range_) | occupied]);
     }
-    for (int i = 0; i < 4; ++i) {
-      std::uint64_t carry = ~alive_mask[i];  // this stage's misses
-      std::uint64_t t = miss0[i] & carry;
-      miss0[i] ^= carry;
-      carry = t;
-      t = miss1[i] & carry;
-      miss1[i] ^= carry;
-      carry = t;
-      t = miss2[i] & carry;
-      miss2[i] ^= carry;
-      carry = t;
-      miss3[i] |= carry;
-    }
+    const ByteMask miss = ~alive;
+    for (std::size_t k = planes; k > 1; --k) missed[k] |= missed[k - 1] & miss;
+    missed[1] |= miss;
   }
-  for (int i = 0; i < 4; ++i) {
-    std::uint64_t le = 0;
-    for (std::size_t r = 0; r <= effective_slack_; ++r) {
-      le |= ((r & 1) ? miss0[i] : ~miss0[i]) &
-            ((r & 2) ? miss1[i] : ~miss1[i]) &
-            ((r & 4) ? miss2[i] : ~miss2[i]) & ~miss3[i];
-    }
-    lvl.viable[i] = le;
-  }
-  lvl.prefix = prefix;
+  const ByteMask viable = ~missed[planes];
+  std::memcpy(lvl.viable.data(), &viable, sizeof viable);
 
-  // Work meter: one unit for the node plus one per bucket regrouped (the
-  // node's dominant cost). Deterministic — a pure function of the search
-  // state, never of timing.
-  result_.work_used += 1 + grouped;
+  // Work meter: one unit for the node plus one per consistent heavy bucket.
+  // Deterministic — a pure function of the search state, never of timing.
+  result_.work_used += 1 + consistent;
 }
 
 void StreamingInference::emit(std::uint64_t mangled) {
   result_.work_used += 2;  // estimate + screen
-  // At a leaf every surviving stage pins the key to exactly the bucket it
-  // hashed into; count survivors once more (defensive — the descent already
-  // pruned below the quorum).
-  std::size_t alive = 0;
-  for (const auto& b : child_) alive += b.empty() ? 0 : 1;
-  if (alive + effective_slack_ < num_stages_) return;
-
   const std::uint64_t key = sketch_->mangler().unmangle(mangled);
   const double est = sketch_->estimate(key);
   if (est < threshold_) return;  // median across ALL stages must agree
@@ -231,18 +279,20 @@ bool StreamingInference::run_chunk(std::size_t quantum) {
     }
     const std::uint64_t prefix =
         (lvl.prefix << 8) | static_cast<std::uint64_t>(byte);
-    for (std::size_t h = 0; h < num_stages_; ++h) {
-      const std::uint8_t v = sketch_->word_hash(h, depth_)
-                                 .map(static_cast<std::uint8_t>(byte));
-      child_[h] = lvl.groups[h * sub_range_ + v];
-    }
     if (depth_ + 1 == num_words_) {
       emit(prefix);
       if (done_) break;  // candidate cap aborts the whole search
-    } else {
-      enter_level(depth_ + 1, prefix, child_);
-      ++depth_;
+      continue;
     }
+    Level& child = levels_[static_cast<std::size_t>(depth_ + 1)];
+    for (std::size_t h = 0; h < num_stages_; ++h) {
+      const std::uint8_t v = sketch_->word_hash(h, depth_)
+                                 .map(static_cast<std::uint8_t>(byte));
+      child.stage_prefix[h] = (lvl.stage_prefix[h] << bits_per_word_) | v;
+    }
+    child.prefix = prefix;
+    ++depth_;
+    enter_level(depth_);
   }
   return done_;
 }

@@ -12,9 +12,13 @@
 //  2. Depth-first search over the q key-word positions. Because of modular
 //     hashing, a heavy bucket constrains each word independently: at word w,
 //     the viable byte values are the word-hash preimages of the sub-indices
-//     that the still-consistent heavy buckets expose at position w. The DFS
-//     state is, per stage, the subset of heavy buckets consistent with the
-//     chosen prefix; a branch dies when fewer than H - r stages remain alive.
+//     that the still-consistent heavy buckets expose at position w. Word 0
+//     maps to the most-significant index bits, so the heavy buckets of a
+//     stage that are consistent with the chosen prefix are exactly those
+//     whose index starts with that prefix's sub-indices: one contiguous
+//     index range. The DFS state is therefore one bucket-index prefix per
+//     stage, read against a heavy-bucket bitmap and its rank table; a branch
+//     dies when fewer than H - r stages remain alive.
 //  3. At a leaf, the surviving word choices form a mangled key; it is
 //     unmangled and reported with its sketch estimate.
 //
@@ -39,7 +43,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <vector>
 
 #include "sketch/reversible_sketch.hpp"
@@ -122,10 +125,10 @@ class StreamingInference {
   StreamingInference& operator=(const StreamingInference&) = delete;
 
   /// Prepares a search over (sketch, threshold), starting from precomputed
-  /// per-stage heavy-bucket lists (ascending bucket ids; the heavy_buckets()
-  /// format — the detection epoch gets these for free from the fused
-  /// forecaster pass). Discards any previous search. The sketch must outlive
-  /// the run; `options` is copied.
+  /// per-stage heavy-bucket lists (distinct bucket ids; the ascending
+  /// heavy_buckets() format — the detection epoch gets these for free from
+  /// the fused forecaster pass). Discards any previous search. The sketch
+  /// must outlive the run; `options` is copied.
   void begin(const ReversibleSketch& sketch, double threshold,
              const InferenceOptions& options,
              std::vector<std::vector<std::uint32_t>> stage_buckets);
@@ -149,29 +152,29 @@ class StreamingInference {
   InferenceResult take_result();
 
  private:
-  using BucketSpan = std::span<const std::uint32_t>;
-
   /// Per-depth DFS state. The search holds exactly one active node per
-  /// depth, so one workspace per level serves all siblings; `groups` storage
-  /// is cleared (capacity kept) on re-entry, making the steady state
-  /// allocation-free.
+  /// depth, so one workspace per level serves all siblings.
   struct Level {
-    /// groups[h * sub_range + v] = this node's consistent heavy buckets of
-    /// stage h whose sub-index at this word is v. Child nodes' consistent
-    /// sets are spans into this storage, valid while the subtree is active.
-    std::vector<std::vector<std::uint32_t>> groups;
+    /// Bucket-index prefix of each stage: the sub-indices that the bytes
+    /// chosen above this level select. Word 0 maps to the most-significant
+    /// index bits, so the node's consistent heavy buckets of stage h are
+    /// exactly those in one index range: the ones that start with
+    /// stage_prefix[h].
+    std::array<std::uint32_t, ReversibleSketch::kMaxStages> stage_prefix{};
     /// Byte values at this word still to be explored (256-bit mask).
     std::array<std::uint64_t, 4> viable{};
     /// Mangled-key prefix chosen above this level.
     std::uint64_t prefix{0};
   };
 
-  /// Groups `consistent` at word `w`, computes the viable-byte mask, and
-  /// activates levels_[w]. Returns false if no byte is viable.
-  void enter_level(int w, std::uint64_t prefix,
-                   std::span<const BucketSpan> consistent);
+  /// Computes the viable-byte mask of levels_[w] from its stage prefixes
+  /// and charges the node to the work meter.
+  void enter_level(int w);
   void emit(std::uint64_t mangled);
-  std::uint32_t sub_index(std::uint32_t index, int w) const;
+  /// Heavy buckets of stage h with index in [lo, lo + n); n is a power of
+  /// two and lo a multiple of n.
+  std::size_t count_heavy(std::size_t h, std::uint64_t lo,
+                          std::uint64_t n) const;
 
   const ReversibleSketch* sketch_{nullptr};
   double threshold_{0.0};
@@ -182,9 +185,16 @@ class StreamingInference {
   std::size_t sub_range_{0};
   std::size_t effective_slack_{0};
 
-  std::vector<std::vector<std::uint32_t>> roots_;
-  std::vector<BucketSpan> root_spans_;
-  std::vector<BucketSpan> child_;  ///< scratch spans for the step in flight
+  /// Heavy-bucket bitmap, words_per_stage_ words per stage, and its popcount
+  /// prefix sums (words_per_stage_ + 1 per stage): heavy_rank_ at word i
+  /// counts the stage's heavy buckets below index 64 * i.
+  std::size_t words_per_stage_{0};
+  std::vector<std::uint64_t> heavy_bits_;
+  std::vector<std::uint32_t> heavy_rank_;
+  /// When sub_range_ <= 4: alive_masks_[((h * q + w) << sub_range_) | s] is
+  /// the union of word w's preimage masks in stage h over the sub-index set
+  /// s. Empty for wider words, which OR the preimage masks per node.
+  std::vector<std::array<std::uint64_t, 4>> alive_masks_;
   std::vector<Level> levels_;
   int depth_{-1};
   bool done_{true};
