@@ -7,13 +7,20 @@
 // handoffs for races.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
+#include "../../perfbench/digest.hpp"
 #include "../testing/synthetic.hpp"
 #include "detect/hifind.hpp"
+#include "detect/load_shedder.hpp"
 #include "detect/overlapped.hpp"
 #include "detect/parallel_recorder.hpp"
+#include "sketch/sketch_backend.hpp"
 
 namespace hifind {
 namespace {
@@ -266,6 +273,173 @@ TEST(OverlapDeterminism, HistorySyncIsBitExact) {
   for (std::size_t i = 0; i < av.size(); ++i) {
     ASSERT_EQ(av[i], bv[i]) << "counter " << i;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Behaviour lock: the scenario's per-interval perfbench digests, pinned.
+//
+// The equality tests above compare two live implementations; this one
+// compares every run against checked-in constants, so a refactor that
+// changes the serial loop and the pipeline the same way still fails here.
+// Covers both sketch backends (HIFIND_TEST_BACKEND restricts to one), with
+// load shedding off and on (the overload_determinism_test budget), through
+// the serial loop and through OverlappedPipeline at 1, 2 and 4 record
+// threads. The pipeline rows differ from the serial ones only where its
+// exact-flow refinement stamps IntervalResult::refined.
+
+SketchBankConfig pinned_bank_cfg(SketchBackendKind backend) {
+  SketchBankConfig c = bank_cfg();
+  c.backend = backend;
+  if (backend == SketchBackendKind::kCompact) {
+    c.ci48.bucket_bits = 10;
+    c.ci64.bucket_bits = 10;
+  }
+  return c;
+}
+
+LoadShedderConfig pinned_shed_cfg(bool shed) {
+  LoadShedderConfig c;
+  if (shed) c.budget_ops_per_interval = 512;
+  return c;
+}
+
+using Digests = std::array<std::uint64_t, 10>;
+
+Digests digests_of(const std::vector<IntervalResult>& results) {
+  Digests out{};
+  EXPECT_EQ(results.size(), out.size());
+  for (std::size_t i = 0; i < results.size() && i < out.size(); ++i) {
+    out[i] = perfbench::digest_of(results[i]);
+  }
+  return out;
+}
+
+/// Serial record -> process -> clear, with the shedder applied inline
+/// exactly as overload_determinism_test's reference loop does.
+Digests pinned_serial(SketchBackendKind backend, bool shed) {
+  SketchBank bank(pinned_bank_cfg(backend));
+  HifindDetector detector(det_cfg(1));
+  LoadShedder shedder(pinned_shed_cfg(shed));
+  std::vector<IntervalResult> results;
+  auto sink = [&](const PacketRecord& p) {
+    RecordOp op{};
+    if (!make_record_op(p, 1.0, op)) return;
+    const double w = shedder.enabled() ? shedder.admit(op) : 1.0;
+    if (w != 0.0) bank.record(p, w);
+  };
+  run_scenario(sink, [&](std::uint64_t interval) {
+    results.push_back(detector.process(bank, interval));
+    shedder.seal_interval();
+    bank.clear();
+  });
+  return digests_of(results);
+}
+
+Digests pinned_pipeline(SketchBackendKind backend, bool shed,
+                        unsigned record_threads) {
+  OverlappedPipelineConfig cfg;
+  cfg.bank = pinned_bank_cfg(backend);
+  cfg.detector = det_cfg(2);
+  cfg.record_threads = record_threads;
+  cfg.shed = pinned_shed_cfg(shed);
+  OverlappedPipeline pipe(cfg);
+  run_scenario(pipe, [&](std::uint64_t) { pipe.close_interval(); });
+  pipe.wait_epoch_idle();
+  return digests_of(pipe.take_results());
+}
+
+std::string format_digests(const Digests& d) {
+  std::string out = "{";
+  char buf[32];
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    std::snprintf(buf, sizeof buf, "%s0x%016llxull", i == 0 ? "" : ", ",
+                  static_cast<unsigned long long>(d[i]));
+    out += buf;
+  }
+  return out + "}";
+}
+
+struct PinnedRow {
+  SketchBackendKind backend;
+  bool shed;
+  bool pipeline;
+  Digests digests;
+};
+
+constexpr PinnedRow kPinned[] = {
+    {SketchBackendKind::kReversible, false, false,
+     {0x0b8a3c53d68d604eull, 0xb97281a0671b145eull,
+      0x0f59aa6bbd976574ull, 0xa27ca81538e9100dull,
+      0x95ec36145d1a3b19ull, 0xe59b29b995a2343cull,
+      0x16bf50cbc0191529ull, 0x9153a992298b4f82ull,
+      0x149546d10c63767cull, 0x038584c586a6dc55ull}},
+    {SketchBackendKind::kReversible, false, true,
+     {0x54f70c2786ac045eull, 0xf7992c21fe561b03ull,
+      0xb05e08dd4905842aull, 0xb1864830d3ea2109ull,
+      0x4cfd8266dc3ab6c2ull, 0xd5aba335d614e5fdull,
+      0x1da6417beb1b3431ull, 0x651515afabd0603bull,
+      0x87c12c4df62deb19ull, 0x294c6e2343ec954bull}},
+    {SketchBackendKind::kReversible, true, false,
+     {0x0b8a3c53d68d604eull, 0xb97281a0671b145eull,
+      0xc1d776e97be88f9aull, 0x77b31a19cd35e1caull,
+      0xaee4ee476989fb38ull, 0xf872406b8c509423ull,
+      0x6e69ff35f9289cdeull, 0x9153a992298b4f82ull,
+      0x149546d10c63767cull, 0x038584c586a6dc55ull}},
+    {SketchBackendKind::kReversible, true, true,
+     {0x54f70c2786ac045eull, 0xf7992c21fe561b03ull,
+      0xac43aaaccc37001cull, 0xa472372ee4ca1512ull,
+      0xff7ffdfbafd0dab4ull, 0xedb83f5041bbcf65ull,
+      0xe29670f1e9453e52ull, 0x57f23a1856420c78ull,
+      0x8ff74db80363ef09ull, 0x6eac4ac101e9ed20ull}},
+    {SketchBackendKind::kCompact, false, false,
+     {0x0b8a3c53d68d604eull, 0xb97281a0671b145eull,
+      0x5061865721b63ae2ull, 0x818685b2f6a6a5c4ull,
+      0xac10a04fb9d77496ull, 0x58aa7386cccc9d9bull,
+      0xf1f1b7acc87d0646ull, 0x9153a992298b4f82ull,
+      0x149546d10c63767cull, 0x038584c586a6dc55ull}},
+    {SketchBackendKind::kCompact, false, true,
+     {0x54f70c2786ac045eull, 0xf7992c21fe561b03ull,
+      0x9196c59959873473ull, 0x79fa703eb09db573ull,
+      0x156d75d0a384ec53ull, 0xe8c4df3d227a3ea1ull,
+      0x0a6e0db079687df5ull, 0x651515afabd0603bull,
+      0x87c12c4df62deb19ull, 0x294c6e2343ec954bull}},
+    {SketchBackendKind::kCompact, true, false,
+     {0x0b8a3c53d68d604eull, 0xb97281a0671b145eull,
+      0x89accbeeb4685c41ull, 0xe2be5e0ed8e96070ull,
+      0xc1da073f4ac8c218ull, 0xaac743592bc77a18ull,
+      0xf68dd5a959c0eab4ull, 0x9153a992298b4f82ull,
+      0x149546d10c63767cull, 0x038584c586a6dc55ull}},
+    {SketchBackendKind::kCompact, true, true,
+     {0x54f70c2786ac045eull, 0xf7992c21fe561b03ull,
+      0xd737e9a2ebb5f379ull, 0x3a35f4c4747a93d3ull,
+      0xa44cec9bc7775b2cull, 0x128266a3ff9f0bf0ull,
+      0xe108a3eaf448c371ull, 0x57f23a1856420c78ull,
+      0x8ff74db80363ef09ull, 0x6eac4ac101e9ed20ull}},
+};
+
+TEST(OverlapDeterminism, PinnedDigests) {
+  const char* only = std::getenv("HIFIND_TEST_BACKEND");
+  std::size_t rows_run = 0;
+  for (const PinnedRow& row : kPinned) {
+    if (only != nullptr && sketch_backend_name(row.backend) != only) continue;
+    ++rows_run;
+    const std::string what = std::string(sketch_backend_name(row.backend)) +
+                             (row.shed ? ", shed" : ", no shed");
+    if (!row.pipeline) {
+      const Digests got = pinned_serial(row.backend, row.shed);
+      EXPECT_EQ(got, row.digests)
+          << what << ", serial: " << format_digests(got);
+      continue;
+    }
+    for (unsigned threads : {1u, 2u, 4u}) {
+      const Digests got = pinned_pipeline(row.backend, row.shed, threads);
+      EXPECT_EQ(got, row.digests) << what << ", pipeline " << threads
+                                  << " record threads: "
+                                  << format_digests(got);
+    }
+  }
+  EXPECT_GT(rows_run, 0u) << "HIFIND_TEST_BACKEND=" << only
+                          << " names no backend";
 }
 
 }  // namespace
