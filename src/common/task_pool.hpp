@@ -3,13 +3,14 @@
 // The detector's interval close runs its independent pieces (forecaster
 // steps, per-sketch inference preludes) as tasks on this pool and joins with
 // wait_idle() at each dependency barrier. Unlike the recording path's
-// ParallelRecorder (whose workers own SPSC rings and live for the pipeline's
+// ShardedRecorder (whose workers own SPSC rings and live for the pipeline's
 // lifetime), epoch tasks are coarse and few, so a plain mutex+condvar queue
 // is plenty. Under the double-buffered pipeline (detect/overlapped.hpp) the
-// epoch for interval N runs on this pool WHILE interval N+1 records; the
-// pool's workers occupy the interval's otherwise-idle close-time slots, and
-// the streaming-inference drivers yield between chunks (see pending()) so a
-// small pool still interleaves all three inferences.
+// epoch for interval N — its shard merge, then process() — runs on this
+// pool WHILE interval N+1 records; the pool's workers occupy the
+// interval's otherwise-idle close-time slots, and the streaming-inference
+// drivers yield between chunks (see pending()) so a small pool still
+// interleaves all three inferences.
 //
 // Determinism: the pool imposes no ordering between queued tasks, so callers
 // must make tasks write to disjoint result slots and sequence any dependent

@@ -130,8 +130,8 @@ struct EpochReport {
   std::size_t heavy_buckets_dropped{0};  ///< dropped by the top-N stage cap
   bool candidates_truncated{false};      ///< max_candidates or work cap hit
 
-  // Shared-nothing recording telemetry (sharded pipeline only; 0/defaults
-  // under shared-bank or serial recording). Reporting-only: recording
+  // Shared-nothing recording telemetry (overlapped pipeline only;
+  // 0/defaults under serial recording). Reporting-only: recording
   // topology and wall-clock, deliberately EXCLUDED from operator== — the
   // determinism contract covers what was detected and what was truncated,
   // not how the interval's counters were recorded or how long the merge
@@ -143,12 +143,10 @@ struct EpochReport {
   double shard_occupancy_min{1.0};
   double shard_occupancy_max{1.0};
   /// Producer backpressure: times the producer found a ring FULL and had to
-  /// back off while publishing this interval's ops, summed over shards
-  /// (shared mode: over workers). 0 means ingest never waited on a
-  /// consumer.
+  /// back off while publishing this interval's ops, summed over shards. 0
+  /// means ingest never waited on a consumer.
   std::uint64_t ring_full_spins{0};
-  /// Per-ring breakdown of `ring_full_spins` (one entry per shard in
-  /// sharded mode, per worker in shared mode): which ring is the choke
+  /// Per-shard breakdown of `ring_full_spins`: which ring is the choke
   /// point.
   std::vector<std::uint64_t> shard_ring_full_spins;
   /// Times this interval's drain() exhausted its spin budget and yielded or

@@ -29,14 +29,16 @@ HifindDetector::HifindDetector(const HifindDetectorConfig& config)
       ratio_filter_(config.min_syn_ratio),
       persistence_filter_(config.min_persist_intervals) {}
 
-void HifindDetector::ensure_pool() {
-  if (pool_) return;
-  std::size_t threads = config_.epoch_threads;
-  if (threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = std::min<std::size_t>(hw == 0 ? 1 : hw, 8);
+TaskPool& HifindDetector::epoch_pool() {
+  if (!pool_) {
+    std::size_t threads = config_.epoch_threads;
+    if (threads == 0) {
+      const unsigned hw = std::thread::hardware_concurrency();
+      threads = std::min<std::size_t>(hw == 0 ? 1 : hw, 8);
+    }
+    pool_ = std::make_unique<TaskPool>(threads);
   }
-  pool_ = std::make_unique<TaskPool>(threads);
+  return *pool_;
 }
 
 IntervalResult HifindDetector::process(const SketchBank& bank,
@@ -44,7 +46,7 @@ IntervalResult HifindDetector::process(const SketchBank& bank,
   IntervalResult result;
   result.interval = interval;
   const double t = config_.interval_threshold();
-  ensure_pool();
+  epoch_pool();
 
   // Stage A — the 7 forecaster steps are independent tasks; each writes one
   // distinct slot. The RS steps collect their heavy-bucket candidates in the

@@ -139,8 +139,14 @@ class HifindDetector {
 
   const HifindDetectorConfig& config() const { return config_; }
 
+  /// The epoch task pool, built on first use with epoch_threads workers
+  /// (0 = min(hardware threads, 8)). Exposed so work that runs on the
+  /// epoch's thread right before process() — the overlapped pipeline's
+  /// shard merge — shares the pool instead of building a second one.
+  /// Same thread as process() only.
+  TaskPool& epoch_pool();
+
  private:
-  void ensure_pool();
   /// Chunked driver for one streaming inference engine: runs the search in
   /// bounded work quanta, re-enqueuing its continuation whenever other tasks
   /// are waiting so a small pool interleaves all three inferences (and, in
@@ -164,8 +170,8 @@ class HifindDetector {
   /// arrays instead of cloning sketches.
   SketchArena<InvertibleSketch> rs_arena_;
   SketchArena<KarySketch> kary_arena_;
-  /// Epoch task pool, created on first process() (tests that never process
-  /// an interval spawn no threads).
+  /// Epoch task pool, created on first epoch_pool() (tests that never
+  /// process an interval spawn no threads).
   std::unique_ptr<TaskPool> pool_;
   /// Per-RS heavy-bucket candidates from the fused forecaster pass; filled
   /// by step_collect in stage A, consumed (moved out) by inference in

@@ -267,18 +267,6 @@ void SketchBank::reset_all() {
   synack_history_.clear();
 }
 
-void SketchBank::sync_history_from(const SketchBank& other) {
-  if (!combinable_with(other)) {
-    throw std::invalid_argument(
-        "SketchBank::sync_history_from: banks have different shape or seed");
-  }
-  // clear + accumulate(1.0) is a bit-exact copy: 0.0 + 1.0 * x == x for
-  // every double, so the spare generation's history matches the active one
-  // counter-for-counter.
-  synack_history_.clear();
-  synack_history_.accumulate(other.synack_history_, 1.0);
-}
-
 void SketchBank::accumulate(const SketchBank& other, double coeff) {
   if (!combinable_with(other)) {
     throw std::invalid_argument(

@@ -1,10 +1,10 @@
 // The double-buffered overlapped pipeline must be a pure scheduling change:
 // for the same packet stream it must emit BIT-IDENTICAL alerts to the serial
 // record -> drain -> process -> clear loop, at any recording thread count,
-// epoch thread count, or ring size — including the lifetime SYN/ACK history
-// that the generation swap has to sync by hand. Runs under TSan in CI (the
-// suite name is in the TSan filter) to check the rebind and epoch-mailbox
-// handoffs for races.
+// epoch thread count, or ring size — including the lifetime SYN/ACK history,
+// which lives in the merged bank rather than in the per-interval shards.
+// Runs under TSan in CI (the suite name is in the TSan filter) to check the
+// rebind, shard-merge and epoch-mailbox handoffs for races.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -19,7 +19,7 @@
 #include "detect/hifind.hpp"
 #include "detect/load_shedder.hpp"
 #include "detect/overlapped.hpp"
-#include "detect/parallel_recorder.hpp"
+#include "detect/sharded_recorder.hpp"
 #include "sketch/sketch_backend.hpp"
 
 namespace hifind {
@@ -47,8 +47,6 @@ HifindDetectorConfig det_cfg(std::size_t epoch_threads,
   c.budget = budget;
   return c;
 }
-
-using RecordMode = OverlappedPipelineConfig::RecordMode;
 
 /// A budget tight enough to truncate the mixed-attack scenario (same pinning
 /// rationale as budget_determinism_test): the sharded pipeline must degrade
@@ -100,17 +98,13 @@ std::vector<IntervalResult> replay_serial(std::size_t epoch_threads,
   return results;
 }
 
-std::vector<IntervalResult> replay_overlapped(RecordMode mode,
-                                              unsigned record_threads,
-                                              std::size_t epoch_threads,
-                                              std::size_t ring_capacity =
-                                                  ParallelRecorder::
-                                                      kDefaultRingCapacity,
-                                              const EpochBudget& budget = {}) {
+std::vector<IntervalResult> replay_overlapped(
+    unsigned record_threads, std::size_t epoch_threads,
+    std::size_t ring_capacity = ShardedRecorder::kDefaultRingCapacity,
+    const EpochBudget& budget = {}) {
   OverlappedPipelineConfig cfg;
   cfg.bank = bank_cfg();
   cfg.detector = det_cfg(epoch_threads, budget);
-  cfg.record_mode = mode;
   cfg.record_threads = record_threads;
   cfg.ring_capacity = ring_capacity;
   OverlappedPipeline pipe(cfg);
@@ -135,7 +129,7 @@ void expect_identical(const std::vector<IntervalResult>& a,
 
 TEST(OverlapDeterminism, ScenarioProducesAlerts) {
   // Guard against vacuous equality: the scenario must actually alert, and
-  // phase 3 must actually exercise the lifetime history the swap syncs.
+  // phase 3 must actually exercise the lifetime SYN/ACK history.
   const auto serial = replay_serial(1);
   std::size_t raw = 0, fin = 0;
   for (const auto& r : serial) {
@@ -146,49 +140,25 @@ TEST(OverlapDeterminism, ScenarioProducesAlerts) {
   EXPECT_GT(fin, 0u);
 }
 
-TEST(OverlapDeterminism, OverlappedBitIdenticalToSerial) {
-  const auto serial = replay_serial(/*epoch_threads=*/1);
-  expect_identical(serial,
-                   replay_overlapped(RecordMode::kSharedBank, 1, 1),
-                   "1 rec thread, serial epoch");
-  expect_identical(serial, replay_overlapped(RecordMode::kSharedBank, 2, 1),
-                   "2 rec threads");
-  expect_identical(serial, replay_overlapped(RecordMode::kSharedBank, 4, 4),
-                   "4 rec + 4 epoch threads");
-}
-
 TEST(OverlapDeterminism, ShardedBitIdenticalToSerial) {
   // The tentpole guarantee: shared-nothing replicas merged by linearity at
   // seal are a pure scheduling change — same alerts as the serial loop at
   // every shard count, including the cumulative SYN/ACK history that lives
-  // in the merged bank rather than being synced between generations.
+  // in the merged bank while each shard holds one interval.
   const auto serial = replay_serial(/*epoch_threads=*/1);
-  expect_identical(serial,
-                   replay_overlapped(RecordMode::kShardedReplicas, 1, 1),
-                   "1 shard");
-  expect_identical(serial,
-                   replay_overlapped(RecordMode::kShardedReplicas, 2, 1),
-                   "2 shards");
-  expect_identical(serial,
-                   replay_overlapped(RecordMode::kShardedReplicas, 4, 4),
+  expect_identical(serial, replay_overlapped(1, 1), "1 shard");
+  expect_identical(serial, replay_overlapped(2, 1), "2 shards");
+  expect_identical(serial, replay_overlapped(4, 4),
                    "4 shards, 4 epoch threads");
-  expect_identical(serial,
-                   replay_overlapped(RecordMode::kShardedReplicas, 8, 2),
-                   "8 shards");
+  expect_identical(serial, replay_overlapped(8, 2), "8 shards");
 }
 
 TEST(OverlapDeterminism, TinyRingsDoNotChangeAlerts) {
   // Tiny rings force constant wrap-around/backpressure in the recorder while
   // the epoch runs concurrently — the most adversarial interleaving.
   const auto serial = replay_serial(/*epoch_threads=*/1);
-  expect_identical(serial,
-                   replay_overlapped(RecordMode::kSharedBank, 3, 2,
-                                     /*ring_capacity=*/8),
-                   "shared, ring 8");
-  expect_identical(serial,
-                   replay_overlapped(RecordMode::kShardedReplicas, 3, 2,
-                                     /*ring_capacity=*/8),
-                   "sharded, ring 8");
+  expect_identical(serial, replay_overlapped(3, 2, /*ring_capacity=*/8),
+                   "ring 8");
 }
 
 TEST(OverlapDeterminism, ShardedBudgetedDegradesIdentically) {
@@ -200,16 +170,15 @@ TEST(OverlapDeterminism, ShardedBudgetedDegradesIdentically) {
   bool any_truncated = false;
   for (const auto& r : serial) any_truncated |= r.epoch.truncated;
   EXPECT_TRUE(any_truncated) << "budget never tripped — vacuous test";
-  expect_identical(
-      serial,
-      replay_overlapped(RecordMode::kShardedReplicas, 4, 2,
-                        ParallelRecorder::kDefaultRingCapacity, budget),
-      "sharded budgeted");
+  expect_identical(serial,
+                   replay_overlapped(4, 2,
+                                     ShardedRecorder::kDefaultRingCapacity,
+                                     budget),
+                   "sharded budgeted");
 }
 
 TEST(OverlapDeterminism, ShardedReportsMergeTelemetry) {
-  const auto sharded =
-      replay_overlapped(RecordMode::kShardedReplicas, 4, 1);
+  const auto sharded = replay_overlapped(4, 1);
   ASSERT_EQ(sharded.size(), 10u);
   bool any_all_busy = false;
   for (const auto& r : sharded) {
@@ -223,55 +192,13 @@ TEST(OverlapDeterminism, ShardedReportsMergeTelemetry) {
     any_all_busy |= r.epoch.shard_occupancy_min > 0.0;
   }
   EXPECT_TRUE(any_all_busy) << "no interval ever loaded all shards";
-  const auto shared = replay_overlapped(RecordMode::kSharedBank, 4, 1);
-  for (const auto& r : shared) EXPECT_EQ(r.epoch.shards, 0u);
 }
 
 TEST(OverlapDeterminism, ResultsArriveInIntervalOrder) {
-  const auto results = replay_overlapped(RecordMode::kShardedReplicas, 2, 2);
+  const auto results = replay_overlapped(2, 2);
   ASSERT_EQ(results.size(), 10u);
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].interval, i);
-  }
-}
-
-TEST(OverlapDeterminism, RebindSealsExactly) {
-  // Direct rebind check: packets offered before rebind() land in the old
-  // bank, packets after land in the new one, matching two serial banks.
-  const SketchBankConfig cfg = bank_cfg();
-  SketchBank serial_a(cfg), serial_b(cfg);
-  feed_completed(serial_a, IPv4(10, 0, 0, 1), IPv4(10, 0, 0, 2), 80, 200);
-  feed_hscan(serial_b, IPv4(7, 7, 7, 7), 445, 200);
-
-  SketchBank par_a(cfg), par_b(cfg);
-  ParallelRecorder rec(par_a, 3, /*ring_capacity=*/16);
-  feed_completed(rec, IPv4(10, 0, 0, 1), IPv4(10, 0, 0, 2), 80, 200);
-  rec.rebind(par_b);
-  feed_hscan(rec, IPv4(7, 7, 7, 7), 445, 200);
-  rec.drain();
-
-  EXPECT_EQ(par_a.packets_recorded(), serial_a.packets_recorded());
-  EXPECT_EQ(par_b.packets_recorded(), serial_b.packets_recorded());
-  // Spot-check counter state through estimates on the recorded keys.
-  const std::uint64_t key = pack_ip_port(IPv4(10, 0, 0, 2), 80);
-  EXPECT_EQ(par_a.os_dip_dport().estimate(key),
-            serial_a.os_dip_dport().estimate(key));
-  EXPECT_EQ(par_b.os_dip_dport().estimate(key),
-            serial_b.os_dip_dport().estimate(key));
-}
-
-TEST(OverlapDeterminism, HistorySyncIsBitExact) {
-  const SketchBankConfig cfg = bank_cfg();
-  SketchBank a(cfg), b(cfg);
-  Pcg32 rng(3, 5);
-  feed_completed(a, IPv4(10, 0, 0, 1), IPv4(10, 0, 0, 2), 80, 500);
-  feed_flood(a, IPv4(10, 0, 0, 2), 80, 300, /*spoofed=*/true, rng);
-  b.sync_history_from(a);
-  const auto av = a.synack_history().counters();
-  const auto bv = b.synack_history().counters();
-  ASSERT_EQ(av.size(), bv.size());
-  for (std::size_t i = 0; i < av.size(); ++i) {
-    ASSERT_EQ(av[i], bv[i]) << "counter " << i;
   }
 }
 

@@ -4,7 +4,7 @@
 // traffic, with the merge run inline or fanned out on a TaskPool. Runs under
 // TSan in CI (the suite names are in the TSan filter) to check the per-shard
 // rings, rebind, and merge handoff for races.
-#include "detect/parallel_recorder.hpp"
+#include "detect/sharded_recorder.hpp"
 
 #include <gtest/gtest.h>
 
@@ -141,8 +141,12 @@ TEST_P(ShardedDeterminism, MergedShardsBitIdenticalToSerial) {
 
 INSTANTIATE_TEST_SUITE_P(
     ShardsAndRings, ShardedDeterminism,
-    ::testing::Values(ShardedCase{1, 64}, ShardedCase{2, 8},
-                      ShardedCase{4, 16}, ShardedCase{8, 64},
+    ::testing::Values(ShardedCase{1, 8}, ShardedCase{1, 64},
+                      ShardedCase{2, 8}, ShardedCase{2, 64},
+                      ShardedCase{4, 16}, ShardedCase{4, 1024},
+                      ShardedCase{7, 8},
+                      ShardedCase{7, ShardedRecorder::kDefaultRingCapacity},
+                      ShardedCase{8, 64},
                       ShardedCase{8, ShardedRecorder::kDefaultRingCapacity}),
     [](const auto& info) {
       return "s" + std::to_string(info.param.shards) + "_ring" +
@@ -204,6 +208,68 @@ TEST(ShardedDeterminismTest, HistoryAccumulatesAcrossMergedIntervals) {
   expect_bank_bit_identical(merged, serial);
 }
 
+TEST(ShardedDeterminismTest, WeightedOffersMatchWeightedSerialRecord) {
+  // Sampling weights 2^-k keep every partial sum exactly representable, so
+  // weighted offers merged across shards equal a weighted serial record()
+  // bit for bit (the inline compensation the load shedder relies on).
+  const auto stream = attack_heavy_stream(6000, 21);
+  Pcg32 rng(33);
+  std::vector<double> weights(stream.size());
+  for (auto& w : weights) w = 1.0 / static_cast<double>(1u << rng.bounded(5));
+
+  SketchBank serial(cfg());
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    serial.record(stream[i], weights[i]);
+  }
+  std::vector<std::unique_ptr<SketchBank>> banks;
+  std::vector<SketchBank*> shards;
+  for (unsigned i = 0; i < 4; ++i) {
+    banks.push_back(std::make_unique<SketchBank>(cfg()));
+    shards.push_back(banks.back().get());
+  }
+  {
+    ShardedRecorder rec(shards, /*ring_capacity=*/32);
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      rec.offer(stream[i], weights[i]);
+    }
+    rec.drain();
+  }
+  SketchBank merged(cfg());
+  merged.merge_shards(
+      std::span<const SketchBank* const>(shards.data(), shards.size()));
+  expect_bank_bit_identical(merged, serial);
+}
+
+TEST(ShardedRecorderTest, DrainOnEmptyIsImmediate) {
+  SketchBank a(cfg()), b(cfg());
+  std::vector<SketchBank*> shards{&a, &b};
+  ShardedRecorder rec(shards);
+  rec.drain();
+  rec.drain();
+  EXPECT_EQ(rec.drain_spin_yields(), 0u);
+  EXPECT_EQ(a.packets_recorded() + b.packets_recorded(), 0u);
+}
+
+TEST(ShardedRecorderTest, DrainYieldsInsteadOfSpinningOnLongBacklogs) {
+  // One shard, a deep ring, and a burst far larger than the spin budget:
+  // drain() must fall back from pause-spinning to yielding/sleeping while
+  // the worker chews through the backlog, and account for it.
+  SketchBank bank(cfg());
+  std::vector<SketchBank*> shards{&bank};
+  ShardedRecorder rec(shards, /*ring_capacity=*/4096);
+  EXPECT_EQ(rec.drain_spin_yields(), 0u);
+  const auto stream = attack_heavy_stream(30000, 13);
+  for (const auto& p : stream) rec.offer(p);
+  rec.drain();
+  const auto yields = rec.drain_spin_yields();
+  EXPECT_GT(yields, 0u)
+      << "a multi-ms backlog drained inside the pure-spin budget?";
+  // Counter is cumulative and an empty drain adds nothing.
+  rec.drain();
+  EXPECT_EQ(rec.drain_spin_yields(), yields);
+  EXPECT_GT(bank.packets_recorded(), 0u);
+}
+
 TEST(ShardedRecorderTest, RebindSealsGenerationsExactly) {
   // Packets offered before rebind() land in the old shard generation,
   // packets after in the new one: each generation's merge matches a serial
@@ -259,13 +325,26 @@ TEST(ShardedRecorderTest, TakeShardOpsAccountsEveryOpOnce) {
 }
 
 TEST(ShardedRecorderTest, RejectsInvalidShardSets) {
+  // Each bank gets its own worker writing it with plain stores: a null bank
+  // would crash that worker and a repeated bank would be a data race.
   SketchBank a(cfg()), b(cfg());
   std::vector<SketchBank*> none;
   EXPECT_THROW(ShardedRecorder{none}, std::invalid_argument);
+  std::vector<SketchBank*> with_null{&a, nullptr};
+  EXPECT_THROW(ShardedRecorder{with_null}, std::invalid_argument);
+  std::vector<SketchBank*> repeated{&a, &a};
+  EXPECT_THROW(ShardedRecorder{repeated}, std::invalid_argument);
+
   std::vector<SketchBank*> two{&a, &b};
   ShardedRecorder rec(two);
   std::vector<SketchBank*> one{&a};
   EXPECT_THROW(rec.rebind(one), std::invalid_argument);
+  EXPECT_THROW(rec.rebind(with_null), std::invalid_argument);
+  EXPECT_THROW(rec.rebind(repeated), std::invalid_argument);
+  // A rejected rebind leaves the recorder bound to its old generation.
+  feed_completed(rec, IPv4(10, 0, 0, 1), IPv4(10, 0, 0, 2), 80, 300);
+  rec.drain();
+  EXPECT_EQ(a.packets_recorded() + b.packets_recorded(), 600u);
 }
 
 TEST(ShardMergeTest, RejectsAliasedAndMismatchedInputs) {

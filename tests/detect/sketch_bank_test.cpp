@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "../testing/synthetic.hpp"
 
 namespace hifind {
@@ -158,6 +161,34 @@ TEST(SketchBankTest, AccessesPerPacketIsSmallAndFixed) {
   // OS, a SYN/ACK the history sketch — also 6 stages — so the per-packet
   // total is 52 either way.)
   EXPECT_EQ(bank.accesses_per_packet(), 52u);
+}
+
+TEST(RecordMaskedTest, GroupsPartitionTheBank) {
+  // Applying each group exactly once must equal one full record(): every
+  // sketch sees the same stream in the same order, so state is identical.
+  std::vector<PacketRecord> stream;
+  Pcg32 rng(11);
+  for (int i = 0; i < 2000; ++i) {
+    PacketRecord p = syn_packet(
+        i, IPv4{rng.next()}, IPv4{0x81690000u | (rng.next() & 0xffff)},
+        static_cast<std::uint16_t>(rng.bounded(1024)));
+    if (rng.chance(0.4)) p.flags = kSyn | kAck;
+    stream.push_back(p);
+  }
+  SketchBank full(small_bank()), by_groups(small_bank());
+  for (const auto& p : stream) full.record(p);
+  for (unsigned g = 0; g < SketchBank::kNumSketchGroups; ++g) {
+    for (const auto& p : stream) by_groups.record_masked(p, 1u << g);
+  }
+  EXPECT_EQ(by_groups.packets_recorded(), full.packets_recorded());
+  auto same = [](std::span<const double> a, std::span<const double> b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]);
+  };
+  same(full.rs_dip_dport().counters(), by_groups.rs_dip_dport().counters());
+  same(full.os_dip_dport().counters(), by_groups.os_dip_dport().counters());
+  same(full.synack_history().counters(),
+       by_groups.synack_history().counters());
 }
 
 }  // namespace
