@@ -7,10 +7,13 @@
 // rebind, shard-merge and epoch-mailbox handoffs for races.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -153,6 +156,17 @@ TEST(OverlapDeterminism, ShardedBitIdenticalToSerial) {
   expect_identical(serial, replay_overlapped(8, 2), "8 shards");
 }
 
+TEST(OverlapDeterminism, OverlappedBitIdenticalToSerial) {
+  // The seal merge runs on the detector's epoch pool, right before
+  // process() on the same pool: at the production 2 record threads, no pool
+  // size (0 = auto, hardware-sized) may change a single alert.
+  const auto serial = replay_serial(/*epoch_threads=*/1);
+  expect_identical(serial, replay_overlapped(2, 1), "serial epoch");
+  expect_identical(serial, replay_overlapped(2, 2), "2 epoch threads");
+  expect_identical(serial, replay_overlapped(2, 4), "4 epoch threads");
+  expect_identical(serial, replay_overlapped(2, 0), "auto epoch pool");
+}
+
 TEST(OverlapDeterminism, TinyRingsDoNotChangeAlerts) {
   // Tiny rings force constant wrap-around/backpressure in the recorder while
   // the epoch runs concurrently — the most adversarial interleaving.
@@ -200,6 +214,59 @@ TEST(OverlapDeterminism, ResultsArriveInIntervalOrder) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].interval, i);
   }
+}
+
+TEST(OverlapDeterminism, RebindSealsExactly) {
+  // The pipeline's generation ping-pong at recorder level: seal A -> B,
+  // merge and reset A, seal B -> A again. Each seal is a bare rebind (no
+  // drain by the caller), and every sealed generation's merge must equal a
+  // serial bank fed only that interval — including the reused generation A,
+  // which must carry nothing over from its first interval.
+  const SketchBankConfig cfg = bank_cfg();
+  std::vector<std::unique_ptr<SketchBank>> banks;
+  std::vector<SketchBank*> gen_a, gen_b;
+  for (unsigned i = 0; i < 6; ++i) {
+    banks.push_back(std::make_unique<SketchBank>(cfg));
+    (i < 3 ? gen_a : gen_b).push_back(banks.back().get());
+  }
+  auto merge = [&](std::vector<SketchBank*>& gen) {
+    auto merged = std::make_unique<SketchBank>(cfg);
+    merged->merge_shards(
+        std::span<const SketchBank* const>(gen.data(), gen.size()));
+    for (SketchBank* s : gen) s->reset_all();
+    return merged;
+  };
+  auto expect_same = [](const SketchBank& a, const SketchBank& b,
+                        const char* what) {
+    EXPECT_EQ(a.packets_recorded(), b.packets_recorded()) << what;
+    EXPECT_TRUE(std::ranges::equal(a.os_dip_dport().counters(),
+                                   b.os_dip_dport().counters()))
+        << what;
+    EXPECT_TRUE(std::ranges::equal(a.rs_sip_dport().counters(),
+                                   b.rs_sip_dport().counters()))
+        << what;
+    EXPECT_TRUE(std::ranges::equal(a.twod_sipdip_dport().cells(),
+                                   b.twod_sipdip_dport().cells()))
+        << what;
+  };
+
+  Pcg32 serial_rng(3, 5), rec_rng(3, 5);
+  SketchBank serial1(cfg), serial2(cfg), serial3(cfg);
+  feed_completed(serial1, IPv4(10, 0, 0, 1), IPv4(10, 0, 0, 2), 80, 200);
+  feed_hscan(serial2, IPv4(7, 7, 7, 7), 445, 200);
+  feed_flood(serial3, IPv4(10, 0, 0, 2), 80, 300, /*spoofed=*/true,
+             serial_rng);
+
+  ShardedRecorder rec(gen_a, /*ring_capacity=*/16);
+  feed_completed(rec, IPv4(10, 0, 0, 1), IPv4(10, 0, 0, 2), 80, 200);
+  rec.rebind(gen_b);
+  expect_same(*merge(gen_a), serial1, "interval 1 (generation A)");
+  feed_hscan(rec, IPv4(7, 7, 7, 7), 445, 200);
+  rec.rebind(gen_a);
+  expect_same(*merge(gen_b), serial2, "interval 2 (generation B)");
+  feed_flood(rec, IPv4(10, 0, 0, 2), 80, 300, /*spoofed=*/true, rec_rng);
+  rec.drain();
+  expect_same(*merge(gen_a), serial3, "interval 3 (generation A reused)");
 }
 
 // ---------------------------------------------------------------------------

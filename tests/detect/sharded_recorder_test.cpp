@@ -75,6 +75,44 @@ std::vector<PacketRecord> attack_heavy_stream(int n, std::uint64_t seed) {
   return out;
 }
 
+/// Background-heavy traffic: 40% completed handshakes to a /24 of servers,
+/// the rest one-sided SYNs scattered over a /16 — the quiet-interval mix.
+std::vector<PacketRecord> mixed_stream(int n, std::uint64_t seed) {
+  Pcg32 rng(seed);
+  std::vector<PacketRecord> out;
+  out.reserve(static_cast<std::size_t>(n) * 2);
+  for (int i = 0; i < n; ++i) {
+    if (rng.chance(0.4)) {
+      const IPv4 server{0x81690000u | (rng.next() & 0xffu)};
+      const IPv4 client{rng.next()};
+      const auto sport = static_cast<std::uint16_t>(1024 + rng.bounded(60000));
+      out.push_back(syn_packet(i, client, server, 443, sport));
+      out.push_back(synack_packet(i, server, 443, client, sport));
+    } else {
+      out.push_back(syn_packet(i, IPv4{rng.next()},
+                               IPv4{0x81690000u | (rng.next() & 0xffffu)},
+                               static_cast<std::uint16_t>(rng.bounded(1024))));
+    }
+  }
+  return out;
+}
+
+/// Owns `n` shard banks and exposes them as the pointer list the recorder
+/// and merge_shards take.
+struct ShardSet {
+  explicit ShardSet(unsigned n) {
+    for (unsigned i = 0; i < n; ++i) {
+      banks.push_back(std::make_unique<SketchBank>(cfg()));
+      ptrs.push_back(banks.back().get());
+    }
+  }
+  std::span<const SketchBank* const> view() const {
+    return {ptrs.data(), ptrs.size()};
+  }
+  std::vector<std::unique_ptr<SketchBank>> banks;
+  std::vector<SketchBank*> ptrs;
+};
+
 void expect_bank_bit_identical(const SketchBank& a, const SketchBank& b) {
   EXPECT_EQ(a.packets_recorded(), b.packets_recorded());
   auto same = [](std::span<const double> x, std::span<const double> y) {
@@ -141,15 +179,91 @@ TEST_P(ShardedDeterminism, MergedShardsBitIdenticalToSerial) {
 
 INSTANTIATE_TEST_SUITE_P(
     ShardsAndRings, ShardedDeterminism,
-    ::testing::Values(ShardedCase{1, 8}, ShardedCase{1, 64},
-                      ShardedCase{2, 8}, ShardedCase{2, 64},
-                      ShardedCase{4, 16}, ShardedCase{4, 1024},
-                      ShardedCase{7, 8},
-                      ShardedCase{7, ShardedRecorder::kDefaultRingCapacity},
-                      ShardedCase{8, 64},
+    ::testing::Values(ShardedCase{1, 64}, ShardedCase{2, 8},
+                      ShardedCase{4, 16}, ShardedCase{8, 64},
                       ShardedCase{8, ShardedRecorder::kDefaultRingCapacity}),
     [](const auto& info) {
       return "s" + std::to_string(info.param.shards) + "_ring" +
+             std::to_string(info.param.ring_capacity);
+    });
+
+class ParallelRecorderThreads : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(ParallelRecorderThreads, MatchesSerialRecordingExactly) {
+  // Background-heavy traffic, one drain, up to 16 shards (more than the
+  // attack-heavy cases above use).
+  const unsigned threads = GetParam();
+  const auto stream = mixed_stream(20000, 7);
+
+  SketchBank serial(cfg());
+  for (const auto& p : stream) serial.record(p);
+
+  ShardSet shards(threads);
+  {
+    ShardedRecorder rec(shards.ptrs);
+    for (const auto& p : stream) rec.offer(p);
+    rec.drain();
+  }
+  SketchBank merged(cfg());
+  merged.merge_shards(shards.view());
+  expect_bank_bit_identical(merged, serial);
+}
+
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelRecorderThreads,
+                         ::testing::Values(1u, 2u, 4u, 7u, 16u));
+
+// The double-buffered pipeline's use of the recorder: seals (rebinds to the
+// spare generation) land at random points of the stream, each sealed
+// generation is merged and reset while the other records, and every merged
+// interval must be bit-identical to a serial bank over the same packets —
+// for rings far smaller than the producer's publish batch too, which force
+// wrap-around and backpressure on every flush.
+struct PipelineCase {
+  unsigned threads;
+  std::size_t ring_capacity;
+};
+
+class PipelineDeterminism : public ::testing::TestWithParam<PipelineCase> {};
+
+TEST_P(PipelineDeterminism, BitIdenticalToSerialUnderAdversarialBatching) {
+  const auto [threads, ring_capacity] = GetParam();
+  Pcg32 stream_rng(0xfeedULL * threads + ring_capacity);
+  const auto stream =
+      mixed_stream(12000 + static_cast<int>(stream_rng.bounded(5000)),
+                   stream_rng.next64());
+
+  ShardSet gens[2] = {ShardSet(threads), ShardSet(threads)};
+  unsigned live = 0;
+  SketchBank serial(cfg()), merged(cfg());
+  ShardedRecorder rec(gens[live].ptrs, ring_capacity);
+  auto seal = [&] {
+    rec.rebind(gens[live ^ 1].ptrs);
+    merged.merge_shards(gens[live].view());
+    for (SketchBank* s : gens[live].ptrs) s->reset_all();
+    live ^= 1;
+    expect_bank_bit_identical(merged, serial);
+    serial.clear();  // keeps the SYN/ACK history, as the merged bank does
+  };
+  std::size_t next_seal = 1 + stream_rng.bounded(4096);
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    rec.offer(stream[i]);
+    serial.record(stream[i]);
+    if (i == next_seal) {
+      seal();
+      next_seal += 1 + stream_rng.bounded(4096);
+    }
+  }
+  seal();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ThreadsAndRings, PipelineDeterminism,
+    ::testing::Values(PipelineCase{1, 8}, PipelineCase{2, 8},
+                      PipelineCase{4, 16}, PipelineCase{7, 8},
+                      PipelineCase{2, 64}, PipelineCase{4, 1024},
+                      PipelineCase{7, ShardedRecorder::kDefaultRingCapacity}),
+    [](const auto& info) {
+      return "t" + std::to_string(info.param.threads) + "_ring" +
              std::to_string(info.param.ring_capacity);
     });
 
@@ -240,7 +354,25 @@ TEST(ShardedDeterminismTest, WeightedOffersMatchWeightedSerialRecord) {
   expect_bank_bit_identical(merged, serial);
 }
 
-TEST(ShardedRecorderTest, DrainOnEmptyIsImmediate) {
+TEST(ParallelRecorderTest, DrainIsReusableAcrossIntervals) {
+  // The same recorder drains interval after interval: once its shards are
+  // reset, a second pass over the stream records exactly what the first did.
+  ShardSet shards(3);
+  SketchBank first(cfg()), second(cfg());
+  ShardedRecorder rec(shards.ptrs);
+  const auto stream = mixed_stream(3000, 9);
+  for (const auto& p : stream) rec.offer(p);
+  rec.drain();
+  first.merge_shards(shards.view());
+  EXPECT_GT(first.packets_recorded(), 0u);
+  for (SketchBank* s : shards.ptrs) s->reset_all();
+  for (const auto& p : stream) rec.offer(p);
+  rec.drain();
+  second.merge_shards(shards.view());
+  expect_bank_bit_identical(second, first);
+}
+
+TEST(ParallelRecorderTest, DrainOnEmptyIsImmediate) {
   SketchBank a(cfg()), b(cfg());
   std::vector<SketchBank*> shards{&a, &b};
   ShardedRecorder rec(shards);
@@ -250,7 +382,7 @@ TEST(ShardedRecorderTest, DrainOnEmptyIsImmediate) {
   EXPECT_EQ(a.packets_recorded() + b.packets_recorded(), 0u);
 }
 
-TEST(ShardedRecorderTest, DrainYieldsInsteadOfSpinningOnLongBacklogs) {
+TEST(ParallelRecorderTest, DrainYieldsInsteadOfSpinningOnLongBacklogs) {
   // One shard, a deep ring, and a burst far larger than the spin budget:
   // drain() must fall back from pause-spinning to yielding/sleeping while
   // the worker chews through the backlog, and account for it.
