@@ -143,14 +143,15 @@ struct EpochReport {
   double shard_occupancy_min{1.0};
   double shard_occupancy_max{1.0};
   /// Producer backpressure: times the producer found a ring FULL and had to
-  /// back off while publishing this interval's ops, summed over shards. 0
+  /// wait for room while publishing this interval's ops, summed over shards. 0
   /// means ingest never waited on a consumer.
   std::uint64_t ring_full_spins{0};
   /// Per-shard breakdown of `ring_full_spins`: which ring is the choke
   /// point.
   std::vector<std::uint64_t> shard_ring_full_spins;
-  /// Times this interval's drain() exhausted its spin budget and yielded or
-  /// slept (delta of the recorder's lifetime counter).
+  /// Shards whose drain() this interval outlasted the pause spin and parked
+  /// (one count per shard per drain; delta of the recorder's lifetime
+  /// counter).
   std::uint64_t drain_spin_yields{0};
 
   /// Equality covers the deterministic degradation contract only (budget +

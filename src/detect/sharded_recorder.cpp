@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cstdlib>
 #include <span>
 #include <stdexcept>
@@ -23,37 +22,11 @@ inline void cpu_relax() {
 #endif
 }
 
-/// One step of spin-then-yield backoff. A few pause iterations cover the
-/// common "other side is about to make progress" window on multi-core
-/// machines; past that we yield so oversubscribed configurations (more
-/// threads than cores) keep making progress instead of burning the quantum.
-inline void backoff(unsigned& spins) {
-  if (spins < 16) {
-    ++spins;
-    cpu_relax();
-  } else {
-    std::this_thread::yield();
-  }
-}
-
-/// Producer-side backoff while a ring is FULL. Unlike the idle-poll
-/// backoff above, this one must bound the producer's burn when a consumer
-/// is wedged or descheduled for a long time (the drain() escalation's
-/// producer twin): pause-spins for the common about-to-drain window, yields
-/// for oversubscription, then 50 us sleeps — a stalled publish costs
-/// (bounded) latency, never a spinning core.
-inline void publish_backoff(unsigned& spins) {
-  constexpr unsigned kPauseBudget = 16;
-  constexpr unsigned kYieldBudget = 1024;
-  if (spins < kPauseBudget) {
-    cpu_relax();
-  } else if (spins < kPauseBudget + kYieldBudget) {
-    std::this_thread::yield();
-  } else {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-  ++spins;
-}
+/// Pause-spin checks a waiter makes before it parks: long enough to cover
+/// the "other side is about to make progress" window (a worker mid-batch, a
+/// producer mid-flush) without a syscall, short enough that an idle wait
+/// leaves the core to the epoch threads.
+constexpr unsigned kSpinBudget = 256;
 
 /// A worker per bank writes it with plain stores, so a null bank would
 /// crash a worker and a bank listed twice would be a data race.
@@ -97,10 +70,36 @@ ShardedRecorder::ShardedRecorder(std::span<SketchBank* const> shards,
   pending_.reserve(kProducerBatch);
 }
 
+template <class Ready>
+bool ShardedRecorder::Doorbell::wait_until(Ready ready) {
+  for (unsigned i = 0; i < kSpinBudget; ++i) {
+    if (ready()) return false;
+    cpu_relax();
+  }
+  for (;;) {
+    // Read the ring count BEFORE announcing the park: any ring() that sees
+    // the announcement bumps the count past `seen`, so wait() cannot sleep
+    // through it.
+    const std::uint32_t seen = rings.load(std::memory_order_acquire);
+    parked.store(true, std::memory_order_seq_cst);
+    if (ready()) break;
+    rings.wait(seen, std::memory_order_acquire);
+  }
+  parked.store(false, std::memory_order_relaxed);
+  return true;
+}
+
+void ShardedRecorder::Doorbell::ring() {
+  if (!parked.load(std::memory_order_seq_cst)) return;
+  rings.fetch_add(1, std::memory_order_release);
+  rings.notify_one();
+}
+
 ShardedRecorder::~ShardedRecorder() {
   drain();
   for (auto& s : shards_) {
-    s->stop.store(true, std::memory_order_release);
+    s->stop.store(true, std::memory_order_seq_cst);
+    s->ops_bell.ring();
   }
   for (auto& s : shards_) {
     if (s->thread.joinable()) s->thread.join();
@@ -135,50 +134,36 @@ void ShardedRecorder::publish(Shard& s, std::size_t idx, const RecordOp* ops,
   const std::size_t mask = capacity_ - 1;
   std::size_t tail = s.tail.load(std::memory_order_relaxed);  // we own tail
   std::size_t pushed = 0;
-  unsigned spins = 0;
   while (pushed < n) {
     const std::size_t head = s.head.load(std::memory_order_acquire);
     const std::size_t space = capacity_ - (tail - head);
     if (space == 0) {
-      if (spins == 0) ++ring_full_[idx];  // one count per full-ring episode
-      publish_backoff(spins);
+      ++ring_full_[idx];  // one count per full-ring episode
+      s.head_bell.wait_until(
+          [&] { return s.head.load(std::memory_order_seq_cst) != head; });
       continue;
     }
-    spins = 0;
     const std::size_t take = std::min(space, n - pushed);
     for (std::size_t i = 0; i < take; ++i) {
       s.slots[(tail + i) & mask] = ops[pushed + i];
     }
     tail += take;
     pushed += take;
-    s.tail.store(tail, std::memory_order_release);
+    s.tail.store(tail, std::memory_order_seq_cst);
+    s.ops_bell.ring();
   }
 }
 
 void ShardedRecorder::drain() {
-  // Spin budget before escalating: pause-spins cover the "worker is mid
-  // batch" window, yields cover oversubscription; past both we sleep so a
-  // wedged worker cannot make drain() burn a core indefinitely.
-  constexpr unsigned kSpinBudget = 256;
-  constexpr unsigned kYieldBudget = 1024;
   flush_pending();
   for (auto& s : shards_) {
-    unsigned spins = 0;
     // head == tail means every published op has been APPLIED to the shard's
     // private bank (the worker advances head only after record_ops).
     const std::size_t tail = s->tail.load(std::memory_order_relaxed);
-    while (s->head.load(std::memory_order_acquire) != tail) {
-      if (spins < kSpinBudget) {
-        ++spins;
-        cpu_relax();
-      } else if (spins < kSpinBudget + kYieldBudget) {
-        ++spins;
-        drain_spin_yields_.fetch_add(1, std::memory_order_relaxed);
-        std::this_thread::yield();
-      } else {
-        drain_spin_yields_.fetch_add(1, std::memory_order_relaxed);
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
+    if (s->head_bell.wait_until([&] {
+          return s->head.load(std::memory_order_seq_cst) == tail;
+        })) {
+      drain_spin_yields_.fetch_add(1, std::memory_order_relaxed);
     }
   }
 }
@@ -250,7 +235,6 @@ void ShardedRecorder::run_worker(Shard& s) {
   // pages first-touched elsewhere to this worker's node.
   SketchBank* numa_bound = nullptr;
   const std::size_t mask = capacity_ - 1;
-  unsigned spins = 0;
   std::size_t head = s.head.load(std::memory_order_relaxed);  // we own head
   for (;;) {
     const std::size_t tail = s.tail.load(std::memory_order_acquire);
@@ -259,10 +243,12 @@ void ShardedRecorder::run_worker(Shard& s) {
           s.tail.load(std::memory_order_acquire) == head) {
         return;
       }
-      backoff(spins);
+      s.ops_bell.wait_until([&] {
+        return s.tail.load(std::memory_order_seq_cst) != head ||
+               s.stop.load(std::memory_order_seq_cst);
+      });
       continue;
     }
-    spins = 0;
     // The tail acquire publishes any rebind() that preceded these ops (the
     // rebind store happens on the producer thread before the next
     // publish()'s tail release).
@@ -283,7 +269,8 @@ void ShardedRecorder::run_worker(Shard& s) {
                        SketchBank::kGroupAll);
       s.ops_applied.fetch_add(run, std::memory_order_relaxed);
       head += run;
-      s.head.store(head, std::memory_order_release);
+      s.head.store(head, std::memory_order_seq_cst);
+      s.head_bell.ring();
     }
   }
 }

@@ -80,11 +80,11 @@ class ShardedRecorder {
 
   /// Blocks until every offered packet has been applied to its shard.
   ///
-  /// Waiting escalates: a short pause-spin burst (the common case — workers
-  /// are about to catch up), then thread yields, then short sleeps. The
-  /// escalation bounds the cost of a wedged or descheduled worker: drain()
-  /// still blocks (it is a correctness barrier), but it stops burning a core
-  /// while it waits.
+  /// Per shard it pause-spins briefly (the common case — the worker is about
+  /// to catch up), then parks on the shard's head doorbell until the worker
+  /// reports a head advance. drain() is a correctness barrier, so it still
+  /// blocks behind a wedged or descheduled worker, but it sleeps in the
+  /// kernel while it does, never burning a core.
   void drain();
 
   /// Atomically retargets every worker at a new shard-bank generation (same
@@ -102,15 +102,16 @@ class ShardedRecorder {
   /// deal-out is round-robin and drain() flushes the partial batch.
   std::vector<std::uint64_t> take_shard_ops();
 
-  /// Times drain() exhausted its spin budget and had to yield or sleep.
-  /// Stays 0 when workers keep up; a growing value under steady load means
-  /// the consumer side is the bottleneck (or a worker is wedged).
+  /// Shard drains that outlasted the pause spin and had to park (one count
+  /// per shard per drain() call, lifetime). Stays 0 when workers keep up; a
+  /// growing value under steady load means the consumer side is the
+  /// bottleneck (or a worker is wedged).
   std::uint64_t drain_spin_yields() const {
     return drain_spin_yields_.load(std::memory_order_relaxed);
   }
 
-  /// Times publish() found a shard's ring FULL and had to back off (one
-  /// count per full-ring episode, lifetime, all shards). The producer-side
+  /// Times publish() found a shard's ring FULL and had to wait for room
+  /// (one count per full-ring episode, lifetime, all shards). The producer-side
   /// twin of drain_spin_yields(): nonzero means ingest stalled on a
   /// consumer. Producer thread only.
   std::uint64_t ring_full_spins() const;
@@ -132,6 +133,30 @@ class ShardedRecorder {
   std::size_t ring_capacity() const { return capacity_; }
 
  private:
+  /// Where one thread sleeps until the other side makes progress: the idle
+  /// worker waits for ops, drain() and a full-ring publish() wait for the
+  /// worker's head to advance. The waiter pause-spins briefly, then sets
+  /// `parked`, re-checks its condition and sleeps on `rings` (a futex on
+  /// Linux; 32 bits so std::atomic::wait uses the word itself rather than
+  /// libstdc++'s process-wide proxy). The other side stores its progress,
+  /// then reads `parked`; all four accesses are seq_cst, so either the
+  /// waiter sees the progress or the ringer sees the flag (Dekker). ring()
+  /// therefore costs one load and no syscall while nobody is parked, which
+  /// keeps wake-ups off the per-batch hot path.
+  struct Doorbell {
+    std::atomic<std::uint32_t> rings{0};
+    std::atomic<bool> parked{false};
+
+    /// Waits until `ready()` holds; `ready` must read with seq_cst loads the
+    /// state the ringer stores with seq_cst before ring(). Returns whether
+    /// the wait outlasted the pause spin and parked.
+    template <class Ready>
+    bool wait_until(Ready ready);
+    /// Wakes the waiter if it is parked. Call after the seq_cst store of
+    /// the state its `ready()` reads.
+    void ring();
+  };
+
   /// One shard: a worker, its SPSC ring, and its private bank.
   ///
   /// False-sharing audit (the hot-path layout contract):
@@ -142,9 +167,13 @@ class ShardedRecorder {
   ///     invalidates the other side's line.
   ///   - `stop` is also isolated: it is written once at shutdown, and
   ///     sharing a line with `tail` would otherwise ping-pong the
-  ///     producer's line on every worker idle-poll.
+  ///     producer's line on every worker idle check.
   ///   - `ops_applied` is written by the worker every batch while the
   ///     producer polls `head`, so it gets its own line too.
+  ///   - `ops_bell` (the worker's doorbell) and `head_bell` (the producer's)
+  ///     each get a line: the ringer reads `parked` after every cursor
+  ///     store, and a bell's line changes hands only when its waiter parks
+  ///     or is rung, never on the other bell's episodes.
   ///   - The cold fields (slots, index, bank pointer, thread handle) stay
   ///     packed at the front; they are read-mostly, so sharing a line among
   ///     THEM is free — only mutating fields need isolation.
@@ -165,13 +194,19 @@ class ShardedRecorder {
     alignas(64) std::atomic<std::size_t> tail{0};  ///< producer cursor
     alignas(64) std::atomic<bool> stop{false};
     alignas(64) std::atomic<std::uint64_t> ops_applied{0};
+    /// Rung by the producer after each tail advance and at shutdown; the
+    /// idle worker parks on it.
+    alignas(64) Doorbell ops_bell;
+    /// Rung by the worker after each head advance; drain() and a full-ring
+    /// publish() park on it.
+    alignas(64) Doorbell head_bell;
   };
 
   void run_worker(Shard& s);
   /// Copies `n` ops into shard `idx`'s ring. Publishes the whole span with
-  /// one release store when the ring has room, or in as many chunks as
-  /// backpressure dictates; a FULL ring escalates pause -> yield -> sleep
-  /// and bumps ring_full_[idx], so a wedged consumer costs a counter and a
+  /// one tail store when the ring has room, or in as many chunks as
+  /// backpressure dictates; a FULL ring bumps ring_full_[idx] and parks on
+  /// the shard's head doorbell, so a wedged consumer costs a counter and a
   /// sleeping producer, never a spinning core.
   void publish(Shard& s, std::size_t idx, const RecordOp* ops,
                std::size_t n);

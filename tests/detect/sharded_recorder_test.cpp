@@ -7,12 +7,16 @@
 #include "detect/sharded_recorder.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "../testing/synthetic.hpp"
@@ -477,6 +481,99 @@ TEST(ShardedRecorderTest, RejectsInvalidShardSets) {
   feed_completed(rec, IPv4(10, 0, 0, 1), IPv4(10, 0, 0, 2), 80, 300);
   rec.drain();
   EXPECT_EQ(a.packets_recorded() + b.packets_recorded(), 600u);
+}
+
+/// User + system CPU time of the whole process so far.
+std::chrono::microseconds process_cpu_time() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  auto us = [](const timeval& tv) {
+    return std::chrono::seconds(tv.tv_sec) +
+           std::chrono::microseconds(tv.tv_usec);
+  };
+  return us(ru.ru_utime) + us(ru.ru_stime);
+}
+
+TEST(ShardedRecorderTest, IdleWorkersPark) {
+  // Between bursts the workers must sleep, not spin: two spinning workers
+  // burn ~400 ms of CPU over a 200 ms idle gap, two parked ones next to
+  // nothing. Ops offered after the gap must still reach the banks.
+  const auto stream = mixed_stream(4000, 17);
+  const std::size_t half = stream.size() / 2;
+  SketchBank serial(cfg());
+  for (const auto& p : stream) serial.record(p);
+
+  ShardSet shards(2);
+  ShardedRecorder rec(shards.ptrs);
+  for (std::size_t i = 0; i < half; ++i) rec.offer(stream[i]);
+  rec.drain();
+  const auto cpu_before = process_cpu_time();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const auto idle_cpu = process_cpu_time() - cpu_before;
+  EXPECT_LT(idle_cpu, std::chrono::milliseconds(50))
+      << "idle workers burned " << idle_cpu.count() << " us of CPU";
+
+  for (std::size_t i = half; i < stream.size(); ++i) rec.offer(stream[i]);
+  rec.drain();
+  SketchBank merged(cfg());
+  merged.merge_shards(shards.view());
+  expect_bank_bit_identical(merged, serial);
+}
+
+TEST(ShardedRecorderTest, ParkedWorkersNeverLoseOps) {
+  // Bursts separated by gaps long enough for the workers to park, on rings
+  // small enough that the producer parks on full rings too, with seals
+  // (rebind) at random points: a lost wake-up would hang a drain or leave
+  // ops out of a generation; each generation must match a serial bank.
+  for (const std::size_t ring_capacity : {std::size_t{8}, std::size_t{16}}) {
+    SCOPED_TRACE("ring " + std::to_string(ring_capacity));
+    Pcg32 rng(0xbe11ULL + ring_capacity);
+    const auto stream = mixed_stream(6000, rng.next64());
+    ShardSet gens[2] = {ShardSet(3), ShardSet(3)};
+    unsigned live = 0;
+    SketchBank serial(cfg()), merged(cfg());
+    ShardedRecorder rec(gens[live].ptrs, ring_capacity);
+    auto seal = [&] {
+      rec.rebind(gens[live ^ 1].ptrs);
+      merged.merge_shards(gens[live].view());
+      for (SketchBank* s : gens[live].ptrs) s->reset_all();
+      live ^= 1;
+      expect_bank_bit_identical(merged, serial);
+      serial.clear();
+    };
+    std::size_t i = 0;
+    while (i < stream.size()) {
+      const std::size_t burst = std::min<std::size_t>(
+          1 + rng.bounded(700), stream.size() - i);
+      for (const std::size_t end = i + burst; i < end; ++i) {
+        rec.offer(stream[i]);
+        serial.record(stream[i]);
+      }
+      if (rng.chance(0.3)) seal();
+      if (rng.chance(0.5)) {
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(200 + rng.bounded(1800)));
+      }
+    }
+    seal();
+  }
+
+  // Recorders whose workers never saw an op, parked or not yet, shut down
+  // promptly: the destructor must wake every parked worker.
+  for (const unsigned n : {1u, 2u, 7u}) {
+    ShardSet shards(n);
+    const auto t0 = std::chrono::steady_clock::now();
+    {
+      ShardedRecorder rec(shards.ptrs, 8);
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2))
+        << n << " parked workers did not join promptly";
+  }
+  for (int round = 0; round < 20; ++round) {
+    ShardSet shards(2);
+    ShardedRecorder rec(shards.ptrs, 8);
+  }
 }
 
 TEST(ShardMergeTest, RejectsAliasedAndMismatchedInputs) {
