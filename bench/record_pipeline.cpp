@@ -22,7 +22,11 @@
 //     floor and close_stall_us at 0 (the ISSUE acceptance gates);
 //   - UpdateScalar/UpdateBatch: single-sketch scalar update() vs
 //     update_batch() on the bank's largest reversible sketch (64-bit keys,
-//     2^16 buckets) and on a verification-shaped k-ary sketch.
+//     2^16 buckets);
+//   - MillionFlow/MillionFlowScalar: full-bank ingest of one million-flow
+//     interval through SketchBank::record_ops (the batched path the
+//     recorder workers run) vs per-op record_op (the serial Pipeline's
+//     loop).
 //
 // bench/run_record_pipeline.py runs this binary and distills
 // BENCH_throughput.json; future PRs regress against that file.
@@ -219,30 +223,6 @@ void BM_UpdateBatchRS64(benchmark::State& state) {
 }
 BENCHMARK(BM_UpdateBatchRS64);
 
-void BM_UpdateScalarKary(benchmark::State& state) {
-  KarySketch s(KarySketchConfig{.num_stages = 6, .num_buckets = 1u << 14,
-                                .seed = 1});
-  const auto ops = random_ops(kStreamLen, 64);
-  for (auto _ : state) {
-    for (const auto& op : ops) s.update(op.key, op.delta);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(ops.size()));
-}
-BENCHMARK(BM_UpdateScalarKary);
-
-void BM_UpdateBatchKary(benchmark::State& state) {
-  KarySketch s(KarySketchConfig{.num_stages = 6, .num_buckets = 1u << 14,
-                                .seed = 1});
-  const auto ops = random_ops(kStreamLen, 64);
-  for (auto _ : state) {
-    s.update_batch(ops);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(ops.size()));
-}
-BENCHMARK(BM_UpdateBatchKary);
-
 // ---------------------------------------------------------------------------
 // Million-flow (TLB-stress) scenario: the gen/ preset whose spoofed floods
 // draw a fresh uniform 32-bit source per SYN, so the measured interval
@@ -269,34 +249,34 @@ const std::vector<RecordOp>& million_flow_ops(std::size_t distinct) {
   return cache.emplace(distinct, std::move(ops)).first->second;
 }
 
-void million_flow_bench(benchmark::State& state, BatchIndexMode mode) {
+void set_million_flow_counters(benchmark::State& state, std::size_t ops) {
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(ops));
+  state.counters["distinct_clients"] = static_cast<double>(state.range(0));
+  state.counters["interval_ops"] = static_cast<double>(ops);
+}
+
+void BM_MillionFlow(benchmark::State& state) {
   const auto& ops = million_flow_ops(static_cast<std::size_t>(state.range(0)));
   SketchBank bank{SketchBankConfig{}};
-  set_batch_index_mode(mode);
   for (auto _ : state) {
     bank.record_ops(ops, SketchBank::kGroupAll);
   }
-  set_batch_index_mode(BatchIndexMode::kVectorized);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(ops.size()));
-  state.counters["distinct_clients"] = static_cast<double>(state.range(0));
-  state.counters["interval_ops"] = static_cast<double>(ops.size());
-}
-
-void BM_MillionFlowVectorized(benchmark::State& state) {
-  million_flow_bench(state, BatchIndexMode::kVectorized);
+  set_million_flow_counters(state, ops.size());
 }
 // 2^21 ~= 2.1M distinct clients is the headline row; 2^18 is the reduced
 // variant CI's bench smoke filters to (scenario synthesis stays ~seconds).
-BENCHMARK(BM_MillionFlowVectorized)
-    ->Arg(1 << 21)
-    ->Arg(1 << 18)
-    ->UseRealTime();
+BENCHMARK(BM_MillionFlow)->Arg(1 << 21)->Arg(1 << 18)->UseRealTime();
 
-void BM_MillionFlowLegacy(benchmark::State& state) {
-  million_flow_bench(state, BatchIndexMode::kLegacy);
+void BM_MillionFlowScalar(benchmark::State& state) {
+  const auto& ops = million_flow_ops(static_cast<std::size_t>(state.range(0)));
+  SketchBank bank{SketchBankConfig{}};
+  for (auto _ : state) {
+    for (const RecordOp& op : ops) bank.record_op(op, SketchBank::kGroupAll);
+  }
+  set_million_flow_counters(state, ops.size());
 }
-BENCHMARK(BM_MillionFlowLegacy)->Arg(1 << 21)->Arg(1 << 18)->UseRealTime();
+BENCHMARK(BM_MillionFlowScalar)->Arg(1 << 21)->Arg(1 << 18)->UseRealTime();
 
 }  // namespace
 }  // namespace hifind

@@ -4,6 +4,11 @@
 Usage:
     python3 bench/run_record_pipeline.py [--build-dir build] [--out BENCH_throughput.json]
 
+Every case runs REPETITIONS times with google-benchmark's random
+interleaving, and every rate, ratio and gate below reads the median of those
+repetitions ("statistic" and "repetitions" in the output); single runs swing
+by tens of percent on a shared host.
+
 The output file records items/s (recordable packets per second) for the
 serial path and the shared-nothing sharded recorder (ingest path: record +
 drain; the seal merge runs on the epoch thread in production) at 1/2/4/8
@@ -12,13 +17,7 @@ size not traffic), scalar-vs-batch single-sketch update rates, the derived
 speedups the acceptance gates care about:
     sharded_vs_serial_2t   >= 1.2 expected (CI gate; 2 record threads is
         the production setting)
-    batch_vs_scalar_rs64   >= 1.2 expected
-    batch_vs_scalar_kary   >= 0.97 REQUIRED (gated here): at the bench
-        shape (786 KiB, below the 2 MiB staging threshold) update_batch
-        routes to the identical scalar loop, so this is a parity check
-        within measurement noise — a real regression (staging applied to a
-        cache-resident shape) shows up as a ~0.96x systematic loss plus
-        noise and still trips it
+    batch_vs_scalar_rs64   >= --rs64-batch-gate (gated here)
 and scaling_efficiency: sharded[N] / (N * sharded[1]) per thread count —
 1.0 is perfect shared-nothing scaling.
 
@@ -29,13 +28,14 @@ without load shedding (BM_UnsheddedIngest / BM_OverloadedIngest):
     close_stall_us         == 0 (epochs never bleed into ingest)
 
 The million_flow section covers the TLB-stress scenario (millions of
-distinct client IPs per interval, bench/million_flow_alerts + the
-BM_MillionFlow* variants): full-bank ingest with vectorized batch-index
-precomputation vs the legacy per-op index loops, gated
-    million_flow_vectorized_vs_legacy >= --million-flow-gate (default 1.15;
-        CI smoke passes 1.0 at the reduced flow count)
-plus the shard/alert identity result of bench/million_flow_alerts (serial vs
-1/2/4/8 shards, vectorized vs legacy indexing — must be bit-identical), and
+distinct client IPs per interval): full-bank ingest through the batched
+SketchBank::record_ops (BM_MillionFlow) vs per-op record_op, the serial
+pipeline's loop (BM_MillionFlowScalar), gated
+    million_flow_batch_vs_scalar >= --million-flow-gate at the largest flow
+        count the benchmark ran (default 2.0; CI smoke runs the reduced
+        count with its own bound)
+plus the shard/alert identity result of bench/million_flow_alerts (serial
+per-op recording vs 1/2/4/8 batched shards — must be bit-identical), and
 the per-packet access counts from bench/accesses_per_packet --json.
 
 On a single-CPU host, scaling_efficiency is marked informational ("informational_metrics" in the output): thread counts above 1
@@ -56,6 +56,9 @@ import tempfile
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from bench_common import check_release_build
 
+# Repetitions per benchmark case; rates are the median across them.
+REPETITIONS = 5
+
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -65,15 +68,6 @@ def main() -> int:
         "--min-time",
         default="1.0",
         help="google-benchmark --benchmark_min_time per case (seconds)",
-    )
-    parser.add_argument(
-        "--kary-batch-gate",
-        type=float,
-        default=0.97,
-        help="minimum batch_vs_scalar_kary speedup (default 0.97: the bench "
-        "shape sits below the staging threshold so both paths run the same "
-        "scalar loop — this is a parity-within-noise check; CI smoke runs "
-        "pass a still wider tolerance for noisy runners)",
     )
     parser.add_argument(
         "--rs64-batch-gate",
@@ -86,11 +80,12 @@ def main() -> int:
     parser.add_argument(
         "--million-flow-gate",
         type=float,
-        default=1.15,
-        help="minimum vectorized-vs-legacy ingest speedup on the "
-        "million-flow scenario, measured at the LARGEST flow count the "
-        "benchmark ran (default 1.15; CI smoke runs the reduced count "
-        "and passes 1.0)",
+        default=2.0,
+        help="minimum batch-vs-scalar ingest speedup on the million-flow "
+        "scenario, measured at the LARGEST flow count the benchmark ran "
+        "(default 2.0: 1.15x the 1.74 that the pre-vectorized batch path "
+        "reached at 2^21 distinct clients; CI smoke runs the reduced count "
+        "with its own bound)",
     )
     parser.add_argument(
         "--benchmark-filter",
@@ -127,6 +122,8 @@ def main() -> int:
         cmd = [
             binary,
             f"--benchmark_min_time={args.min_time}",
+            f"--benchmark_repetitions={REPETITIONS}",
+            "--benchmark_enable_random_interleaving=true",
             "--benchmark_format=json",
             f"--benchmark_out={raw_path}",
             "--benchmark_out_format=json",
@@ -139,8 +136,8 @@ def main() -> int:
     finally:
         os.unlink(raw_path)
 
-    # Shard/alert identity on the (reduced) million-flow scenario: serial vs
-    # 1/2/4/8 shards and vectorized vs legacy batch indexing. The binary
+    # Shard/alert identity on the (reduced) million-flow scenario: serial
+    # per-op recording vs 1/2/4/8 batched shards. The binary
     # exits non-zero when any stream differs; we parse its JSON either way so
     # the mismatch detail lands in the output.
     alerts_binary = os.path.join(args.build_dir, "bench", "million_flow_alerts")
@@ -180,11 +177,11 @@ def main() -> int:
     items = {}
     counters = {}
     for bench in raw["benchmarks"]:
-        if bench.get("run_type") == "aggregate":
+        if bench.get("aggregate_name") != "median":
             continue
         # Multithreaded recorder benches use UseRealTime(), which suffixes
         # the benchmark name; the rate is items per wall-clock second.
-        name = bench["name"].removesuffix("/real_time")
+        name = bench["run_name"].removesuffix("/real_time")
         items[name] = bench.get("items_per_second")
         counters[name] = {
             k: bench[k]
@@ -204,6 +201,8 @@ def main() -> int:
         "generated_by": "bench/run_record_pipeline.py",
         "benchmark": "bench/record_pipeline.cpp",
         "gating": gating,
+        "repetitions": REPETITIONS,
+        "statistic": "median",
         "context": {
             "date": raw["context"]["date"],
             "num_cpus": raw["context"]["num_cpus"],
@@ -218,8 +217,6 @@ def main() -> int:
             "shard_merge": threaded("BM_ShardMerge"),
             "update_scalar_rs64": items.get("BM_UpdateScalarRS64"),
             "update_batch_rs64": items.get("BM_UpdateBatchRS64"),
-            "update_scalar_kary": items.get("BM_UpdateScalarKary"),
-            "update_batch_kary": items.get("BM_UpdateBatchKary"),
         },
         # Full-pipeline ingest under overload: offered packets/s sustained,
         # the per-interval shed coverage, and the close-stall backpressure
@@ -232,11 +229,11 @@ def main() -> int:
             "overloaded": counters.get("BM_OverloadedIngest"),
         },
         # TLB-stress scenario: full-bank ingest with millions of distinct
-        # client IPs per interval, vectorized batch-index precomputation vs
-        # the legacy per-op index loops, keyed by distinct-client count.
+        # client IPs per interval, batched record_ops vs per-op record_op,
+        # keyed by distinct-client count.
         "million_flow": {
-            "vectorized_items_per_second": threaded("BM_MillionFlowVectorized"),
-            "legacy_items_per_second": threaded("BM_MillionFlowLegacy"),
+            "batch_items_per_second": threaded("BM_MillionFlow"),
+            "scalar_items_per_second": threaded("BM_MillionFlowScalar"),
             "alerts": million_alerts,
         },
         "accesses_per_packet": accesses,
@@ -252,20 +249,17 @@ def main() -> int:
         "batch_vs_scalar_rs64": ratio(
             ips["update_batch_rs64"], ips["update_scalar_rs64"]
         ),
-        "batch_vs_scalar_kary": ratio(
-            ips["update_batch_kary"], ips["update_scalar_kary"]
-        ),
         "overload_vs_unshedded": ratio(
             result["overload"]["overloaded_items_per_second"],
             result["overload"]["unshedded_items_per_second"],
         ),
     }
-    # Vectorized vs legacy ingest per million-flow size; the gate reads the
+    # Batch vs per-op ingest per million-flow size; the gate reads the
     # largest size the benchmark ran.
     mf = result["million_flow"]
-    mf["vectorized_vs_legacy"] = {
-        n: ratio(rate, mf["legacy_items_per_second"].get(n))
-        for n, rate in sorted(mf["vectorized_items_per_second"].items(),
+    mf["batch_vs_scalar"] = {
+        n: ratio(rate, mf["scalar_items_per_second"].get(n))
+        for n, rate in sorted(mf["batch_items_per_second"].items(),
                               key=lambda kv: int(kv[0]))
     }
     # Shared-nothing scaling: sharded[N] / (N * sharded[1]). With private
@@ -295,8 +289,8 @@ def main() -> int:
         f.write("\n")
     os.replace(tmp_out, args.out)
     print(json.dumps(result["speedup"], indent=2))
-    print("million_flow vectorized_vs_legacy:",
-          json.dumps(result["million_flow"]["vectorized_vs_legacy"]))
+    print("million_flow batch_vs_scalar:",
+          json.dumps(result["million_flow"]["batch_vs_scalar"]))
     print(f"wrote {args.out}")
 
     if not gating:
@@ -305,41 +299,34 @@ def main() -> int:
         return 0
 
     failures = []
-    # Acceptance gate: batching must never lose to the scalar loop. The k-ary
-    # shape regressed to 0.84x once (prefetch staging on a cache-resident
-    # sketch); this keeps that from coming back silently.
-    kary = result["speedup"]["batch_vs_scalar_kary"]
-    if kary is None or kary < args.kary_batch_gate:
-        failures.append(f"batch_vs_scalar_kary = {kary} "
-                        f"(< {args.kary_batch_gate})")
     # The vectorized index precomputation's single-sketch bar.
     rs64 = result["speedup"]["batch_vs_scalar_rs64"]
     if rs64 is None or rs64 < args.rs64_batch_gate:
         failures.append(f"batch_vs_scalar_rs64 = {rs64} "
                         f"(< {args.rs64_batch_gate})")
-    # Million-flow ingest: vectorized indexing must beat the legacy path at
-    # the largest flow count measured (TLB-stress regime).
-    mf_speedups = result["million_flow"]["vectorized_vs_legacy"]
+    # Million-flow ingest: the batched path must beat per-op recording by
+    # more than the pre-vectorized batch path did, at the largest flow count
+    # measured (TLB-stress regime).
+    mf_speedups = result["million_flow"]["batch_vs_scalar"]
     if mf_speedups:
         top = max(mf_speedups, key=int)
         mf = mf_speedups[top]
         if mf is None or mf < args.million_flow_gate:
-            failures.append(f"million_flow vectorized_vs_legacy[{top}] = "
+            failures.append(f"million_flow batch_vs_scalar[{top}] = "
                             f"{mf} (< {args.million_flow_gate})")
     else:
         failures.append("million_flow benchmarks missing from run")
     # Correctness rider: the shard/alert identity check must have run clean.
     alerts = result["million_flow"]["alerts"]
     if alerts is None or not alerts.get("all_match"):
-        failures.append("million_flow_alerts: shard/legacy-index alert "
-                        "streams not bit-identical (or check not run)")
+        failures.append("million_flow_alerts: shard alert streams not "
+                        "bit-identical (or check not run)")
     if failures:
         for f in failures:
             print(f"GATE FAILED: {f}", file=sys.stderr)
         return 1
-    print(f"gates passed: batch_vs_scalar_kary >= {args.kary_batch_gate}, "
-          f"batch_vs_scalar_rs64 >= {args.rs64_batch_gate}, "
-          f"million_flow vectorized_vs_legacy >= {args.million_flow_gate}, "
+    print(f"gates passed: batch_vs_scalar_rs64 >= {args.rs64_batch_gate}, "
+          f"million_flow batch_vs_scalar >= {args.million_flow_gate}, "
           "million-flow alert streams bit-identical")
     return 0
 

@@ -114,139 +114,74 @@ void SketchBank::record_op(const RecordOp& op, unsigned mask) {
 }
 
 void SketchBank::record_ops(std::span<const RecordOp> ops, unsigned mask) {
-  // Operand staging is chunked either way; the loop NEST is what the batch
-  // index mode selects.
-  //
-  // Vectorized mode is sketch-major: each sketch consumes the entire span
-  // (in 256-op staged chunks) before the next sketch starts, so the counter
-  // lines it pulls in on its first chunks stay cache-resident for the rest
-  // of its turn. The op-major nest below instead cycles all ~27 MB of bank
-  // state between any one sketch's 256-op turns, leaving every sketch cold
-  // at every turn — measured ~25% slower on the million-flow span. Each
-  // sketch still sees the full op stream in order under either nest, so
-  // counters and stage sums are bit-identical to record_op per op.
+  // Sketch-major: each sketch consumes the entire span (in 256-op staged
+  // chunks) before the next sketch starts, so the counter lines it pulls in
+  // on its first chunks stay cache-resident for the rest of its turn. An
+  // op-major nest would cycle all ~27 MB of bank state between any one
+  // sketch's turns and leave every sketch cold at every turn (measured ~25%
+  // slower on the million-flow span). Each sketch sees the full op stream
+  // in order, so counters and stage sums are bit-identical to record_op per
+  // op.
   constexpr std::size_t kChunk = 256;
   std::array<KeyDelta, kChunk> kd;
   std::array<KeyDelta2d, kChunk> kd2;
-  if (batch_index_mode() == BatchIndexMode::kVectorized) {
-    const auto feed = [&](auto& sketch, std::uint64_t RecordOp::* key) {
-      for (std::size_t base = 0; base < ops.size(); base += kChunk) {
-        const std::size_t n = std::min(kChunk, ops.size() - base);
-        for (std::size_t j = 0; j < n; ++j) {
-          kd[j] = {ops[base + j].*key, ops[base + j].delta};
-        }
-        sketch.update_batch(std::span<const KeyDelta>(kd.data(), n));
+  const auto feed = [&](auto& sketch, std::uint64_t RecordOp::* key) {
+    for (std::size_t base = 0; base < ops.size(); base += kChunk) {
+      const std::size_t n = std::min(kChunk, ops.size() - base);
+      for (std::size_t j = 0; j < n; ++j) {
+        kd[j] = {ops[base + j].*key, ops[base + j].delta};
       }
-    };
-    // Direction-filtered feed (OS sketch counts SYNs, history counts
-    // SYN/ACKs): the kept subsequence preserves stream order.
-    const auto feed_dir = [&](KarySketch& sketch, bool want_syn) {
-      std::size_t m = 0;
-      for (const auto& op : ops) {
-        if (op.syn != want_syn) continue;
-        kd[m++] = {op.k_dip_dport, op.weight};
-        if (m == kChunk) {
-          sketch.update_batch(std::span<const KeyDelta>(kd.data(), m));
-          m = 0;
-        }
-      }
-      if (m > 0) {
+      sketch.update_batch(std::span<const KeyDelta>(kd.data(), n));
+    }
+  };
+  // Direction-filtered feed (OS sketch counts SYNs, history counts
+  // SYN/ACKs): the kept subsequence preserves stream order.
+  const auto feed_dir = [&](KarySketch& sketch, bool want_syn) {
+    std::size_t m = 0;
+    for (const auto& op : ops) {
+      if (op.syn != want_syn) continue;
+      kd[m++] = {op.k_dip_dport, op.weight};
+      if (m == kChunk) {
         sketch.update_batch(std::span<const KeyDelta>(kd.data(), m));
+        m = 0;
       }
-    };
-    const auto feed_2d = [&](TwoDSketch& sketch, auto&& cell) {
-      for (std::size_t base = 0; base < ops.size(); base += kChunk) {
-        const std::size_t n = std::min(kChunk, ops.size() - base);
-        for (std::size_t j = 0; j < n; ++j) kd2[j] = cell(ops[base + j]);
-        sketch.update_batch(std::span<const KeyDelta2d>(kd2.data(), n));
-      }
-    };
-    if (mask & kGroupRsSipDport) feed(rs_sip_dport_, &RecordOp::k_sip_dport);
-    if (mask & kGroupRsDipDport) feed(rs_dip_dport_, &RecordOp::k_dip_dport);
-    if (mask & kGroupRsSipDip) feed(rs_sip_dip_, &RecordOp::k_sip_dip);
-    if (mask & kGroupVerification) {
-      feed(verif_sip_dport_, &RecordOp::k_sip_dport);
-      feed(verif_dip_dport_, &RecordOp::k_dip_dport);
-      feed(verif_sip_dip_, &RecordOp::k_sip_dip);
     }
-    if (mask & kGroupOsAndHistory) {
-      feed_dir(os_dip_dport_, true);
-      feed_dir(synack_history_, false);
+    if (m > 0) sketch.update_batch(std::span<const KeyDelta>(kd.data(), m));
+  };
+  const auto feed_2d = [&](TwoDSketch& sketch, auto&& cell) {
+    for (std::size_t base = 0; base < ops.size(); base += kChunk) {
+      const std::size_t n = std::min(kChunk, ops.size() - base);
+      for (std::size_t j = 0; j < n; ++j) kd2[j] = cell(ops[base + j]);
+      sketch.update_batch(std::span<const KeyDelta2d>(kd2.data(), n));
     }
-    if (mask & kGroupTwoD) {
-      // 2D sketches: secondary dimension is the field the primary
-      // aggregates out.
-      feed_2d(twod_sipdip_dport_, [](const RecordOp& op) {
-        return KeyDelta2d{op.k_sip_dip,
-                          std::uint64_t{unpack_key_port(op.k_sip_dport)},
-                          op.delta};
-      });
-      feed_2d(twod_sipdport_dip_, [](const RecordOp& op) {
-        return KeyDelta2d{op.k_sip_dport,
-                          std::uint64_t{unpack_key_ip(op.k_dip_dport).addr},
-                          op.delta};
-      });
-    }
-    if (mask & kGroupMeta) packets_recorded_ += ops.size();
-    return;
+  };
+  if (mask & kGroupRsSipDport) feed(rs_sip_dport_, &RecordOp::k_sip_dport);
+  if (mask & kGroupRsDipDport) feed(rs_dip_dport_, &RecordOp::k_dip_dport);
+  if (mask & kGroupRsSipDip) feed(rs_sip_dip_, &RecordOp::k_sip_dip);
+  if (mask & kGroupVerification) {
+    feed(verif_sip_dport_, &RecordOp::k_sip_dport);
+    feed(verif_dip_dport_, &RecordOp::k_dip_dport);
+    feed(verif_sip_dip_, &RecordOp::k_sip_dip);
   }
-  // Legacy op-major nest — the pre-vectorization pipeline path the bench
-  // runner baselines the vectorized mode against.
-  for (std::size_t base = 0; base < ops.size(); base += kChunk) {
-    const std::span<const RecordOp> chunk = ops.subspan(
-        base, std::min(kChunk, ops.size() - base));
-    const std::size_t n = chunk.size();
-    auto fill_1d = [&](std::uint64_t RecordOp::* key) {
-      for (std::size_t j = 0; j < n; ++j) {
-        kd[j] = {chunk[j].*key, chunk[j].delta};
-      }
-      return std::span<const KeyDelta>(kd.data(), n);
-    };
-    if (mask & kGroupRsSipDport) {
-      rs_sip_dport_.update_batch(fill_1d(&RecordOp::k_sip_dport));
-    }
-    if (mask & kGroupRsDipDport) {
-      rs_dip_dport_.update_batch(fill_1d(&RecordOp::k_dip_dport));
-    }
-    if (mask & kGroupRsSipDip) {
-      rs_sip_dip_.update_batch(fill_1d(&RecordOp::k_sip_dip));
-    }
-    if (mask & kGroupVerification) {
-      verif_sip_dport_.update_batch(fill_1d(&RecordOp::k_sip_dport));
-      verif_dip_dport_.update_batch(fill_1d(&RecordOp::k_dip_dport));
-      verif_sip_dip_.update_batch(fill_1d(&RecordOp::k_sip_dip));
-    }
-    if (mask & kGroupOsAndHistory) {
-      // Split by direction; each subsequence keeps stream order.
-      std::size_t m = 0;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (chunk[j].syn) kd[m++] = {chunk[j].k_dip_dport, chunk[j].weight};
-      }
-      os_dip_dport_.update_batch(std::span<const KeyDelta>(kd.data(), m));
-      m = 0;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (!chunk[j].syn) kd[m++] = {chunk[j].k_dip_dport, chunk[j].weight};
-      }
-      synack_history_.update_batch(std::span<const KeyDelta>(kd.data(), m));
-    }
-    if (mask & kGroupTwoD) {
-      for (std::size_t j = 0; j < n; ++j) {
-        kd2[j] = {chunk[j].k_sip_dip,
-                  std::uint64_t{unpack_key_port(chunk[j].k_sip_dport)},
-                  chunk[j].delta};
-      }
-      twod_sipdip_dport_.update_batch(
-          std::span<const KeyDelta2d>(kd2.data(), n));
-      for (std::size_t j = 0; j < n; ++j) {
-        kd2[j] = {chunk[j].k_sip_dport,
-                  std::uint64_t{unpack_key_ip(chunk[j].k_dip_dport).addr},
-                  chunk[j].delta};
-      }
-      twod_sipdport_dip_.update_batch(
-          std::span<const KeyDelta2d>(kd2.data(), n));
-    }
-    if (mask & kGroupMeta) packets_recorded_ += n;
+  if (mask & kGroupOsAndHistory) {
+    feed_dir(os_dip_dport_, true);
+    feed_dir(synack_history_, false);
   }
+  if (mask & kGroupTwoD) {
+    // 2D sketches: secondary dimension is the field the primary aggregates
+    // out.
+    feed_2d(twod_sipdip_dport_, [](const RecordOp& op) {
+      return KeyDelta2d{op.k_sip_dip,
+                        std::uint64_t{unpack_key_port(op.k_sip_dport)},
+                        op.delta};
+    });
+    feed_2d(twod_sipdport_dip_, [](const RecordOp& op) {
+      return KeyDelta2d{op.k_sip_dport,
+                        std::uint64_t{unpack_key_ip(op.k_dip_dport).addr},
+                        op.delta};
+    });
+  }
+  if (mask & kGroupMeta) packets_recorded_ += ops.size();
 }
 
 void SketchBank::clear() {

@@ -41,10 +41,10 @@ class KarySketch {
   /// Adds `delta` to the key's counter in every stage. O(H).
   void update(std::uint64_t key, double delta);
 
-  /// Applies a block of updates: hashes every operand's bucket indices first
-  /// (prefetching the counter lines), then applies the deltas. Bit-identical
-  /// to calling update() per operand in order, but overlaps hash computation
-  /// with counter-memory latency across the block.
+  /// Applies a block of updates: update() per operand, in order. Every
+  /// configured k-ary shape is cache-resident, where staging indices with
+  /// prefetches (as the reversible and 2D sketches do) loses to this plain
+  /// loop; the batch entry point keeps one interface across sketch types.
   void update_batch(std::span<const KeyDelta> ops);
 
   /// Mean-corrected median estimate of the key's aggregate value:
@@ -118,10 +118,6 @@ class KarySketch {
 
  private:
   friend struct SketchKernelAccess;  // fused kernels (sketch_kernels.hpp)
-
-  /// The original per-operand index loop (BatchIndexMode::kLegacy, and the
-  /// fallback for shapes the vectorized path's u32 flat indices can't hold).
-  void update_batch_legacy(std::span<const KeyDelta> ops);
 
   std::size_t bucket_index(std::size_t stage, std::uint64_t key) const {
     // Stage hashes are constructed with the bucket count, so this dispatches

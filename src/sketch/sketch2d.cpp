@@ -38,9 +38,10 @@ void TwoDSketch::update(std::uint64_t x_key, std::uint64_t y_key,
 void TwoDSketch::update_batch(std::span<const KeyDelta2d> ops) {
   constexpr std::size_t kMaxStagesVec = 16;
   const std::size_t H = config_.num_stages;
-  if (batch_index_mode() == BatchIndexMode::kLegacy || H > kMaxStagesVec ||
+  if (H > kMaxStagesVec ||
       cells_.size() > std::numeric_limits<std::uint32_t>::max()) {
-    update_batch_legacy(ops);
+    // Shapes the u32 flat-index chunk cannot hold; none is configured.
+    for (const auto& op : ops) update(op.x_key, op.y_key, op.delta);
     return;
   }
   // Vectorized cell-index precomputation: one tab_hash64 pass per stage per
@@ -73,35 +74,6 @@ void TwoDSketch::update_batch(std::span<const KeyDelta2d> ops) {
       for (std::size_t j = 0; j < n; ++j) {
         const auto i = static_cast<std::uint32_t>(
             (stage_off + thx.fold(xh[j])) * Ky + thy.fold(yh[j]));
-        idx[j * H + h] = i;
-        prefetch_write(&cells_[i]);
-      }
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-      const double delta = ops[base + j].delta;
-      for (std::size_t h = 0; h < H; ++h) {
-        cells_[idx[j * H + h]] += delta;
-      }
-    }
-    update_count_ += n;
-  }
-}
-
-void TwoDSketch::update_batch_legacy(std::span<const KeyDelta2d> ops) {
-  constexpr std::size_t kBlock = 32;
-  constexpr std::size_t kMaxStagesInBlock = 16;
-  const std::size_t H = config_.num_stages;
-  if (H > kMaxStagesInBlock) {
-    for (const auto& op : ops) update(op.x_key, op.y_key, op.delta);
-    return;
-  }
-  std::size_t idx[kBlock * kMaxStagesInBlock];
-  for (std::size_t base = 0; base < ops.size(); base += kBlock) {
-    const std::size_t n = std::min(kBlock, ops.size() - base);
-    for (std::size_t j = 0; j < n; ++j) {
-      const auto& op = ops[base + j];
-      for (std::size_t h = 0; h < H; ++h) {
-        const std::size_t i = cell_index(h, op.x_key, op.y_key);
         idx[j * H + h] = i;
         prefetch_write(&cells_[i]);
       }

@@ -2,11 +2,14 @@
 //
 // The recording hot path (paper Sec. 5.5.3) applies long runs of independent
 // UPDATEs whose bucket indices are data-dependent random accesses into
-// multi-megabyte counter arrays — a classic cache-miss-bound loop. The batch
-// APIs (`update_batch` on each sketch type) take a block of these operands,
-// compute every bucket index first while issuing software prefetches for the
-// counter lines, and only then apply the deltas, so the hash work of later
-// keys overlaps the memory latency of earlier ones.
+// multi-megabyte counter arrays — a classic cache-miss-bound loop. Each
+// sketch type has one `update_batch` taking a block of these operands. The
+// reversible and 2D sketches compute every bucket index of a chunk first
+// (one simd::tab_hash64 pass per stage) while issuing software prefetches
+// for the counter lines, and only then apply the deltas, so the hash work of
+// later keys overlaps the memory latency of earlier ones. The k-ary sketch
+// is cache-resident at every configured shape, where index staging loses to
+// the plain per-op loop, so its update_batch is that loop.
 //
 // Batch updates are BIT-IDENTICAL to the equivalent sequence of scalar
 // update() calls: per sketch, counters and stage sums receive the same
@@ -39,23 +42,5 @@ inline void prefetch_write(const void* p) {
   (void)p;
 #endif
 }
-
-/// How update_batch computes bucket indices.
-///
-/// kVectorized (default) precomputes all (stage, bucket) flat indices for a
-/// chunk of operands in one pass through simd::tab_hash64 before touching any
-/// counter; kLegacy keeps the original per-operand index loop. Both paths
-/// apply deltas in the same per-op, per-stage order, so counters are
-/// bit-identical — the toggle exists so benchmarks can measure the
-/// index-precomputation win against the prior pipeline path and so property
-/// tests can diff the two directly.
-enum class BatchIndexMode { kVectorized, kLegacy };
-
-/// Sets the process-wide batch index mode. Like simd::set_force_scalar, this
-/// is for tests and benchmarks; not thread-safe against concurrent batches.
-void set_batch_index_mode(BatchIndexMode mode);
-
-/// The current batch index mode.
-BatchIndexMode batch_index_mode();
 
 }  // namespace hifind

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "../testing/synthetic.hpp"
@@ -161,6 +162,83 @@ TEST(SketchBankTest, AccessesPerPacketIsSmallAndFixed) {
   // OS, a SYN/ACK the history sketch — also 6 stages — so the per-packet
   // total is 52 either way.)
   EXPECT_EQ(bank.accesses_per_packet(), 52u);
+}
+
+void expect_same_1d(const auto& a, const auto& b, std::size_t stages,
+                    const char* what) {
+  ASSERT_EQ(a.counters().size(), b.counters().size()) << what;
+  for (std::size_t i = 0; i < a.counters().size(); ++i) {
+    ASSERT_EQ(a.counters()[i], b.counters()[i]) << what << " counter " << i;
+  }
+  for (std::size_t h = 0; h < stages; ++h) {
+    ASSERT_EQ(a.stage_sum(h), b.stage_sum(h)) << what << " stage " << h;
+  }
+}
+
+void expect_same_2d(const TwoDSketch& a, const TwoDSketch& b,
+                    const char* what) {
+  ASSERT_EQ(a.cells().size(), b.cells().size()) << what;
+  for (std::size_t i = 0; i < a.cells().size(); ++i) {
+    ASSERT_EQ(a.cells()[i], b.cells()[i]) << what << " cell " << i;
+  }
+}
+
+TEST(SketchBankTest, RecordOpsMatchesPerOpRecord) {
+  // record_ops (sketch-major, 256-op staged chunks, update_batch) must leave
+  // every sketch bit-identical to record_op per op in order. Span lengths
+  // straddle the chunk size; the all-SYN span is longer than a chunk, so the
+  // OS sketch's direction-filtered feed flushes mid-span while the history
+  // sketch sees nothing.
+  Pcg32 rng(13);
+  auto make_ops = [&](std::size_t n, bool all_syn) {
+    std::vector<RecordOp> ops;
+    while (ops.size() < n) {
+      PacketRecord p = syn_packet(
+          static_cast<Timestamp>(ops.size()), IPv4{rng.next()},
+          IPv4{0x81690000u | (rng.next() & 0xffff)},
+          static_cast<std::uint16_t>(rng.bounded(1024)));
+      if (!all_syn && rng.chance(0.4)) p.flags = kSyn | kAck;
+      const double weight = static_cast<double>(1u << rng.bounded(4)) / 2.0;
+      RecordOp op;
+      if (make_record_op(p, weight, op)) ops.push_back(op);
+    }
+    return ops;
+  };
+  const SketchBankConfig cfg = small_bank();
+  SketchBank batched(cfg), per_op(cfg);
+  for (const auto& [n, all_syn] :
+       {std::pair{0u, false}, std::pair{1u, false}, std::pair{255u, false},
+        std::pair{256u, false}, std::pair{257u, false},
+        std::pair{1000u, false}, std::pair{600u, true}}) {
+    SCOPED_TRACE(::testing::Message() << "span " << n << " all_syn "
+                                      << all_syn);
+    const std::vector<RecordOp> ops = make_ops(n, all_syn);
+    batched.record_ops(ops, SketchBank::kGroupAll);
+    for (const RecordOp& op : ops) per_op.record_op(op, SketchBank::kGroupAll);
+    EXPECT_EQ(batched.packets_recorded(), per_op.packets_recorded());
+    const std::size_t rs48 = cfg.rs48.num_stages;
+    const std::size_t rs64 = cfg.rs64.num_stages;
+    const std::size_t kary = cfg.verification.num_stages;
+    const std::size_t os = cfg.original.num_stages;
+    expect_same_1d(batched.rs_sip_dport(), per_op.rs_sip_dport(), rs48,
+                   "rs_sd");
+    expect_same_1d(batched.rs_dip_dport(), per_op.rs_dip_dport(), rs48,
+                   "rs_dd");
+    expect_same_1d(batched.rs_sip_dip(), per_op.rs_sip_dip(), rs64, "rs_si");
+    expect_same_1d(batched.verif_sip_dport(), per_op.verif_sip_dport(), kary,
+                   "verif_sd");
+    expect_same_1d(batched.verif_dip_dport(), per_op.verif_dip_dport(), kary,
+                   "verif_dd");
+    expect_same_1d(batched.verif_sip_dip(), per_op.verif_sip_dip(), kary,
+                   "verif_si");
+    expect_same_1d(batched.os_dip_dport(), per_op.os_dip_dport(), os, "os");
+    expect_same_1d(batched.synack_history(), per_op.synack_history(), kary,
+                   "history");
+    expect_same_2d(batched.twod_sipdip_dport(), per_op.twod_sipdip_dport(),
+                   "2d_sidip_dport");
+    expect_same_2d(batched.twod_sipdport_dip(), per_op.twod_sipdport_dip(),
+                   "2d_sdport_dip");
+  }
 }
 
 TEST(RecordMaskedTest, GroupsPartitionTheBank) {
