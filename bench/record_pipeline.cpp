@@ -228,7 +228,7 @@ BENCHMARK(BM_UpdateBatchRS64);
 // draw a fresh uniform 32-bit source per SYN, so the measured interval
 // carries `distinct` distinct client IPs. Recording it walks every sketch's
 // counter array at maximum entropy — the memory-hierarchy regime the
-// vectorized index precomputation and hugepage placement target.
+// vectorized index precomputation targets.
 
 /// RecordOps of the preset's measured interval [120 s, 180 s). Cached per
 /// distinct-count: scenario synthesis costs far more than one bench pass.

@@ -19,7 +19,10 @@ speedups the acceptance gates care about:
         the production setting)
     batch_vs_scalar_rs64   >= --rs64-batch-gate (gated here)
 and scaling_efficiency: sharded[N] / (N * sharded[1]) per thread count —
-1.0 is perfect shared-nothing scaling.
+1.0 is perfect shared-nothing scaling — gated
+    scaling_efficiency[N] >= SCALING_EFFICIENCY_FLOOR for 1 < N <= num_cpus
+        (thread counts above num_cpus oversubscribe the cores and measure
+        the scheduler, so they stay ungated)
 
 The overload section covers the full OverlappedPipeline ingest path with and
 without load shedding (BM_UnsheddedIngest / BM_OverloadedIngest):
@@ -38,9 +41,9 @@ plus the shard/alert identity result of bench/million_flow_alerts (serial
 per-op recording vs 1/2/4/8 batched shards — must be bit-identical), and
 the per-packet access counts from bench/accesses_per_packet --json.
 
-On a single-CPU host, scaling_efficiency is marked informational ("informational_metrics" in the output): thread counts above 1
-oversubscribe the only core, so those ratios measure scheduler behavior, not
-the recorder.
+On a single-CPU host, scaling_efficiency is marked informational
+("informational_metrics" in the output): thread counts above 1 oversubscribe
+the only core, so those ratios measure scheduler behavior, not the recorder.
 
 All numbers come from the same binaries in the same run, on the same machine.
 """
@@ -58,6 +61,13 @@ from bench_common import check_release_build
 
 # Repetitions per benchmark case; rates are the median across them.
 REPETITIONS = 5
+
+# Floor on scaling_efficiency at every thread count 1 < N <= num_cpus. On a
+# 4-vCPU x86-64 VM (Release, 10 runs of 3 interleaved repetitions each) the
+# per-run medians read 0.83 at 2 threads (lowest 0.62) and 0.74 at 4 (lowest
+# 0.59). 0.5 is two thirds of the 4-thread median: 4 shards recording at
+# only twice the rate of one, or 2 shards no faster than one, fail it.
+SCALING_EFFICIENCY_FLOOR = 0.5
 
 
 def main() -> int:
@@ -316,6 +326,14 @@ def main() -> int:
                             f"{mf} (< {args.million_flow_gate})")
     else:
         failures.append("million_flow benchmarks missing from run")
+    # Shared-nothing scaling on real cores: every shard count the host can
+    # run without oversubscription must keep its efficiency.
+    num_cpus = result["context"]["num_cpus"]
+    for n, eff in result["scaling_efficiency"].items():
+        if 1 < int(n) <= num_cpus and (eff is None or
+                                       eff < SCALING_EFFICIENCY_FLOOR):
+            failures.append(f"scaling_efficiency[{n}] = {eff} "
+                            f"(< {SCALING_EFFICIENCY_FLOOR})")
     # Correctness rider: the shard/alert identity check must have run clean.
     alerts = result["million_flow"]["alerts"]
     if alerts is None or not alerts.get("all_match"):
@@ -327,7 +345,8 @@ def main() -> int:
         return 1
     print(f"gates passed: batch_vs_scalar_rs64 >= {args.rs64_batch_gate}, "
           f"million_flow batch_vs_scalar >= {args.million_flow_gate}, "
-          "million-flow alert streams bit-identical")
+          f"scaling_efficiency >= {SCALING_EFFICIENCY_FLOOR} up to "
+          f"{num_cpus} threads, million-flow alert streams bit-identical")
     return 0
 
 

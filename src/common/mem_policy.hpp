@@ -1,84 +1,34 @@
-// Hugepage- and NUMA-aware placement for sketch counter memory.
+// Counter storage for the sketch substrates.
 //
-// At million-flow scale the recording hot path is bound by the memory
-// hierarchy, not arithmetic: every update touches H random counter lines in
-// multi-megabyte arrays, so 4 KiB pages thrash the dTLB, and on multi-socket
-// hosts a shard whose replica landed on the remote node pays ~2x the load
-// latency. This layer addresses both without adding dependencies:
+// CounterAllocator backs allocations of at least kLargeThresholdBytes with a
+// page-rounded anonymous mmap, returned to the kernel by munmap on release;
+// smaller ones use operator new. The choice is a pure function of the byte
+// size, so deallocate() needs no header.
 //
-//  * CounterAllocator<T> — a std allocator that backs large allocations
-//    (>= kHugeThresholdBytes) with a 2 MiB-aligned anonymous mmap marked
-//    MADV_HUGEPAGE, so transparent huge pages can map each sketch stage with
-//    a handful of TLB entries. Small allocations go through operator new
-//    untouched. The huge/small decision is a pure function of the byte size,
-//    so deallocate() routes to the matching release path deterministically.
-//
-//  * bind_to_node() — best-effort mbind(MPOL_PREFERRED) of an address range
-//    to one NUMA node, issued through raw syscalls (no libnuma). The sharded
-//    recorder binds each worker's private SketchBank replica to the node of
-//    the core that runs the worker.
-//
-// Fallback ladder: numa -> THP -> plain pages. Every rung degrades
-// gracefully — kernels without NUMA support, builds with HIFIND_NUMA=OFF,
-// single-node hosts, and filesystems without THP all end up with correct
-// (just slower) plain allocations. Env gates for measurement and triage:
-// HIFIND_NUMA=off disables binding at runtime, HIFIND_THP=off disables the
-// MADV_HUGEPAGE advice (the mmap backing remains).
+// It exists because plain std::vector<double> measured worse: with the
+// counter arrays on malloc, perfbench overload_compact's peak_rss_mb rose
+// from 514.7 to 567.8 MB (+10.3%, 0 of 6 alternating pairs won) and
+// campus_reversible's throughput_pps fell 6.6% (1 of 6 won), Release, on a
+// 4-vCPU x86-64 VM. The likely cause, not verified, is glibc's dynamic mmap
+// threshold: once a freed multi-MiB replica raises it, later replicas come
+// from the heap, which keeps freed pages.
 #pragma once
 
 #include <cstddef>
-#include <new>
 #include <vector>
 
 namespace hifind::mem {
 
-/// Allocations at or above this byte size take the hugepage-aware mmap path.
-/// 1 MiB: the TLB-busting counter arrays of the default bank shapes clear it
-/// (rs64: 3 MiB, the 2D sketches: 10 MiB each), while stage-sum vectors,
-/// hash tables, and forecaster scratch stay on the cheap operator-new path.
-inline constexpr std::size_t kHugeThresholdBytes = std::size_t{1} << 20;
+/// 1 MiB: the counter arrays of the default bank shapes clear it (rs64:
+/// 3 MiB, the 2D sketches: 10 MiB each); stage sums and scratch do not.
+inline constexpr std::size_t kLargeThresholdBytes = std::size_t{1} << 20;
 
-/// Rounds `bytes` up to the mmap length the huge path would reserve (whole
-/// 4 KiB pages). Exposed so deallocate() and tests recompute it exactly.
-std::size_t huge_alloc_length(std::size_t bytes);
-
-/// True when MADV_HUGEPAGE advice is issued on huge-path allocations
-/// (compile-time support present and HIFIND_THP != "off").
-bool thp_enabled();
-
-/// True when mbind() calls are attempted (built with HIFIND_NUMA=ON,
-/// HIFIND_NUMA != "off" in the environment, and the host exposes > 1 node).
-bool numa_enabled();
-
-/// Number of online NUMA nodes (parsed from sysfs; 1 when unknown).
-int node_count();
-
-/// The CPU the calling thread is currently on, or -1 when unavailable.
-int current_cpu();
-
-/// The NUMA node of the calling thread's current CPU, or -1.
-int current_node();
-
-/// Best-effort MPOL_PREFERRED binding of [addr, addr+len) to `node`,
-/// migrating already-touched pages (MPOL_MF_MOVE). The range is widened to
-/// page boundaries. Returns true when the kernel accepted the request;
-/// false on any failure or when numa_enabled() is false — callers treat the
-/// result as telemetry, never as an error.
-bool bind_to_node(const void* addr, std::size_t len, int node);
-
-/// Best-effort pin of the calling thread to one CPU. Used by the sharded
-/// recorder when HIFIND_PIN_CORES=1 so worker i stays on core i % ncpu and
-/// its replica's NUMA binding stays meaningful. Returns true on success.
-bool pin_current_thread_to_cpu(int cpu);
-
-/// Raw allocation entry points of the hugepage path (also used by tests).
 /// alloc_counters throws std::bad_alloc on failure; free_counters must be
 /// called with the original byte size.
 void* alloc_counters(std::size_t bytes);
 void free_counters(void* p, std::size_t bytes) noexcept;
 
-/// std allocator over alloc_counters/free_counters. Stateless; all
-/// instances are interchangeable.
+/// Stateless std allocator over alloc_counters/free_counters.
 template <class T>
 struct CounterAllocator {
   using value_type = T;
@@ -100,10 +50,7 @@ struct CounterAllocator {
   }
 };
 
-/// Counter storage type shared by the sketch substrates: a double vector on
-/// hugepage-aware backing. Same element layout as std::vector<double>;
-/// every external consumer reads through std::span, so only the sketch
-/// classes see the allocator.
+/// Counter storage of every sketch; consumers read it through std::span.
 using CounterVec = std::vector<double, CounterAllocator<double>>;
 
 }  // namespace hifind::mem

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
-
-#include "common/mem_policy.hpp"
 
 namespace hifind {
 namespace {
@@ -57,7 +54,6 @@ ShardedRecorder::ShardedRecorder(std::span<SketchBank* const> shards,
   shards_.reserve(shards.size());
   for (SketchBank* bank : shards) {
     auto shard = std::make_unique<Shard>(capacity_);
-    shard->index = shards_.size();
     shard->bank.store(bank, std::memory_order_relaxed);
     shards_.push_back(std::move(shard));
   }
@@ -180,12 +176,6 @@ void ShardedRecorder::rebind(std::span<SketchBank* const> shards) {
   }
 }
 
-std::uint64_t ShardedRecorder::ring_full_spins() const {
-  std::uint64_t total = 0;
-  for (std::uint64_t c : ring_full_) total += c;
-  return total;
-}
-
 std::vector<std::uint64_t> ShardedRecorder::take_ring_full_spins() {
   std::vector<std::uint64_t> out(ring_full_.size());
   for (std::size_t i = 0; i < ring_full_.size(); ++i) {
@@ -217,23 +207,6 @@ std::vector<std::uint64_t> ShardedRecorder::take_shard_ops() {
 }
 
 void ShardedRecorder::run_worker(Shard& s) {
-  // Optional core pinning (HIFIND_PIN_CORES=1): worker i sticks to core
-  // i % ncpu, so the replica's NUMA binding below stays meaningful — an
-  // unpinned worker the scheduler migrates across sockets would leave its
-  // counters on the old node.
-  static const bool pin_cores = [] {
-    const char* v = std::getenv("HIFIND_PIN_CORES");
-    return v != nullptr && v[0] == '1';
-  }();
-  if (pin_cores) {
-    const unsigned ncpu = std::max(1u, std::thread::hardware_concurrency());
-    mem::pin_current_thread_to_cpu(static_cast<int>(s.index % ncpu));
-  }
-  // The bank this worker last NUMA-bound. Generations alternate between two
-  // banks, so the pointer changes at every seal; re-binding an already-local
-  // bank is a cheap no-op, and binding the incoming generation migrates any
-  // pages first-touched elsewhere to this worker's node.
-  SketchBank* numa_bound = nullptr;
   const std::size_t mask = capacity_ - 1;
   std::size_t head = s.head.load(std::memory_order_relaxed);  // we own head
   for (;;) {
@@ -253,13 +226,6 @@ void ShardedRecorder::run_worker(Shard& s) {
     // rebind store happens on the producer thread before the next
     // publish()'s tail release).
     SketchBank* bank = s.bank.load(std::memory_order_relaxed);
-    if (bank != numa_bound) {
-      if (mem::numa_enabled()) {
-        const int node = mem::current_node();
-        if (node >= 0) bank->bind_memory_to_node(node);
-      }
-      numa_bound = bank;
-    }
     while (head != tail) {
       const std::size_t i = head & mask;
       const std::size_t run = std::min(tail - head, capacity_ - i);

@@ -110,14 +110,10 @@ class ShardedRecorder {
     return drain_spin_yields_.load(std::memory_order_relaxed);
   }
 
-  /// Times publish() found a shard's ring FULL and had to wait for room
-  /// (one count per full-ring episode, lifetime, all shards). The producer-side
-  /// twin of drain_spin_yields(): nonzero means ingest stalled on a
-  /// consumer. Producer thread only.
-  std::uint64_t ring_full_spins() const;
-
-  /// Per-shard full-ring episode counts since the last call (producer
-  /// thread only) — the EpochReport per-shard backpressure telemetry.
+  /// Per-shard counts, since the last call, of the times publish() found
+  /// a shard's ring FULL and had to wait for room (one count per episode):
+  /// the EpochReport per-shard backpressure telemetry. Nonzero means ingest
+  /// stalled on a consumer. Producer thread only.
   std::vector<std::uint64_t> take_ring_full_spins();
 
   /// Occupancy fraction of the FULLEST shard ring right now, in [0, 1] —
@@ -125,12 +121,6 @@ class ShardedRecorder {
   /// slightly stale answer is fine for a pressure signal). Producer thread
   /// only.
   double producer_backlog() const;
-
-  unsigned num_shards() const {
-    return static_cast<unsigned>(shards_.size());
-  }
-
-  std::size_t ring_capacity() const { return capacity_; }
 
  private:
   /// Where one thread sleeps until the other side makes progress: the idle
@@ -174,7 +164,7 @@ class ShardedRecorder {
   ///     each get a line: the ringer reads `parked` after every cursor
   ///     store, and a bell's line changes hands only when its waiter parks
   ///     or is rung, never on the other bell's episodes.
-  ///   - The cold fields (slots, index, bank pointer, thread handle) stay
+  ///   - The cold fields (slots, bank pointer, thread handle) stay
   ///     packed at the front; they are read-mostly, so sharing a line among
   ///     THEM is free — only mutating fields need isolation.
   /// The worker advances `head` only AFTER applying the ops, so head ==
@@ -183,7 +173,6 @@ class ShardedRecorder {
     explicit Shard(std::size_t capacity) : slots(capacity) {}
 
     std::vector<RecordOp> slots;
-    std::size_t index{0};  ///< shard position; read-only after construction
     /// Worker-side target bank. Relaxed atomics suffice: rebind() stores it
     /// on the producer thread after drain() (rings empty), and the worker
     /// loads it only after acquiring a tail advance that was released after

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <stdexcept>
 
-#include "common/mem_policy.hpp"
 #include "common/task_pool.hpp"
-#include "sketch/sketch_kernels.hpp"
 
 namespace hifind {
 namespace {
@@ -422,20 +421,23 @@ std::size_t SketchBank::accesses_per_packet() const {
          twod_sipdport_dip_.accesses_per_update();
 }
 
-std::size_t SketchBank::bind_memory_to_node(int node) {
-  using A = SketchKernelAccess;
-  const std::span<double> ranges[] = {
-      A::counters(rs_sip_dport_),      A::counters(rs_dip_dport_),
-      A::counters(rs_sip_dip_),        A::counters(verif_sip_dport_),
-      A::counters(verif_dip_dport_),   A::counters(verif_sip_dip_),
-      A::counters(os_dip_dport_),      A::counters(twod_sipdip_dport_),
-      A::counters(twod_sipdport_dip_), A::counters(synack_history_),
+bool SketchBank::operator==(const SketchBank& other) const {
+  const auto same = [](std::span<const double> x, std::span<const double> y) {
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    return std::ranges::equal(x, y, {}, bits, bits);
   };
-  std::size_t bound = 0;
-  for (const auto& r : ranges) {
-    if (mem::bind_to_node(r.data(), r.size_bytes(), node)) ++bound;
-  }
-  return bound;
+  const SketchBank& o = other;
+  return config_ == o.config_ && packets_recorded_ == o.packets_recorded_ &&
+         same(rs_sip_dport_.counters(), o.rs_sip_dport_.counters()) &&
+         same(rs_dip_dport_.counters(), o.rs_dip_dport_.counters()) &&
+         same(rs_sip_dip_.counters(), o.rs_sip_dip_.counters()) &&
+         same(verif_sip_dport_.counters(), o.verif_sip_dport_.counters()) &&
+         same(verif_dip_dport_.counters(), o.verif_dip_dport_.counters()) &&
+         same(verif_sip_dip_.counters(), o.verif_sip_dip_.counters()) &&
+         same(os_dip_dport_.counters(), o.os_dip_dport_.counters()) &&
+         same(twod_sipdip_dport_.cells(), o.twod_sipdip_dport_.cells()) &&
+         same(twod_sipdport_dip_.cells(), o.twod_sipdport_dip_.cells()) &&
+         same(synack_history_.counters(), o.synack_history_.counters());
 }
 
 }  // namespace hifind

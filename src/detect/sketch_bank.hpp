@@ -184,14 +184,11 @@ class SketchBank {
   /// sketches (paper Sec. 5.5.2 accounting).
   std::size_t accesses_per_packet() const;
 
-  /// Best-effort NUMA binding of every sketch's counter array to `node`
-  /// (mem::bind_to_node over the ten counter spans; already-touched pages
-  /// migrate). Returns the number of ranges the kernel accepted — 0 when
-  /// NUMA placement is unavailable or disabled, which callers treat as
-  /// telemetry, not failure. The sharded recorder calls this from each
-  /// worker with the worker's own node, so shard replicas live local to the
-  /// core that writes them.
-  std::size_t bind_memory_to_node(int node);
+  /// Exact state equality: same config, every counter array bit-identical
+  /// (so -0.0 differs from 0.0 and a NaN equals itself) and the same
+  /// packets_recorded. This is the state the wire body carries; derived
+  /// caches such as stage sums are not compared.
+  bool operator==(const SketchBank& other) const;
 
   std::uint64_t packets_recorded() const { return packets_recorded_; }
 

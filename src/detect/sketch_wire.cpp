@@ -306,16 +306,4 @@ SketchBank deserialize_bank(std::span<const std::uint8_t> bytes) {
   return std::move(deserialize_frame(bytes).bank);
 }
 
-std::vector<std::uint8_t> serialize_bank_hfb1(const SketchBank& bank) {
-  if (SketchBankWire::needs_v3(bank)) {
-    throw std::invalid_argument(
-        "serialize_bank_hfb1: HFB1 predates backend selection and can only "
-        "encode banks on the reversible backend");
-  }
-  ByteWriter w;
-  w.u32(SketchBankWire::kMagicV1);
-  SketchBankWire::serialize_body(w, bank, false);
-  return w.take();
-}
-
 }  // namespace hifind

@@ -91,8 +91,4 @@ std::vector<std::uint8_t> serialize_bank(const SketchBank& bank);
 /// version. Throws WireError (a std::runtime_error) on malformed input.
 SketchBank deserialize_bank(std::span<const std::uint8_t> bytes);
 
-/// Legacy HFB1 writer: no header, no checksum. Kept so version-compat tests
-/// (and any pre-HFB2 archive reader) can produce v1 frames.
-std::vector<std::uint8_t> serialize_bank_hfb1(const SketchBank& bank);
-
 }  // namespace hifind

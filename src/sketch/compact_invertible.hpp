@@ -182,7 +182,7 @@ class CompactInvertibleSketch {
   CompactInvertibleConfig config_;
   std::vector<TabulationHash> hashes_;  // one full-key hash per stage
   std::size_t value_len_{0};            // H*K: size of the value region
-  mem::CounterVec counters_;            // value + bit regions; hugepage-backed
+  mem::CounterVec counters_;            // value + bit regions
   std::vector<double> stage_sums_;      // value region only
   std::uint64_t update_count_{0};
 };

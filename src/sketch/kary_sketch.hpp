@@ -127,7 +127,7 @@ class KarySketch {
 
   KarySketchConfig config_;
   std::vector<TabulationHash> hashes_;  // one per stage
-  mem::CounterVec counters_;            // stage-major, H*K; hugepage-backed
+  mem::CounterVec counters_;            // stage-major, H*K
   std::vector<double> stage_sums_;      // cached sum per stage
   std::uint64_t update_count_{0};
 };

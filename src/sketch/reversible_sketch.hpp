@@ -147,7 +147,7 @@ class ReversibleSketch {
   /// key bytes (LSB first) reproduces index_of_mangled() exactly. Layout:
   /// [stage][byte][value], H*q*256 entries.
   std::vector<std::uint64_t> flat_tables_;
-  mem::CounterVec counters_;           // stage-major, H*K; hugepage-backed
+  mem::CounterVec counters_;           // stage-major, H*K
   std::vector<double> stage_sums_;
   std::uint64_t update_count_{0};
 };

@@ -123,7 +123,7 @@ class TwoDSketch {
   Sketch2dConfig config_;
   std::vector<TabulationHash> x_hashes_;
   std::vector<TabulationHash> y_hashes_;
-  mem::CounterVec cells_;  // stage-major, then column-major; hugepage-backed
+  mem::CounterVec cells_;  // stage-major, then column-major
   std::uint64_t update_count_{0};
 };
 

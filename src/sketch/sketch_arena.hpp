@@ -13,12 +13,9 @@
 // running on different TaskPool workers may hit the shared arena during
 // warm-up or reset. (Steady-state steps never touch the arena at all.)
 //
-// Memory placement: sketch counter arrays allocate through
-// mem::CounterAllocator (common/mem_policy.hpp), so every pooled sketch —
-// and every per-shard bank replica — sits on 2 MiB-aligned, MADV_HUGEPAGE
-// mmap backing. Pooling preserves that placement across acquire/release
-// cycles: copy-assignment into an existing sketch reuses its (huge-backed,
-// possibly NUMA-bound) counter storage rather than reallocating.
+// Counter storage: sketch counter arrays allocate through
+// mem::CounterAllocator (common/mem_policy.hpp). Copy-assignment into a
+// pooled sketch reuses its counter arrays rather than mapping new ones.
 #pragma once
 
 #include <cstddef>

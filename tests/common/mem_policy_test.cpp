@@ -1,10 +1,6 @@
-// Hugepage-aware counter allocation (common/mem_policy.hpp): the huge path
-// must hand back 2 MiB-aligned, fully writable ranges whose release is a
-// pure function of the byte size; the small path must stay plain operator
-// new; and every placement helper must degrade gracefully (telemetry-style
-// false, never a crash) on hosts without NUMA, THP, or affinity support —
-// that graceful rung IS the fallback ladder the HIFIND_NUMA=OFF CI job
-// exercises end to end.
+// Counter allocation (common/mem_policy.hpp): the large path must hand back
+// page-aligned, fully writable ranges whose release is a pure function of
+// the byte size, and the small path must stay plain operator new.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,15 +12,15 @@
 namespace hifind::mem {
 namespace {
 
-constexpr std::size_t kHugeAlign = std::size_t{2} << 20;
+constexpr std::size_t kPage = 4096;
 
 TEST(MemPolicyTest, HugeAllocIsAlignedAndWritable) {
   const std::size_t bytes = 3u << 20;  // rs64-sized: above the threshold
   void* p = alloc_counters(bytes);
   ASSERT_NE(p, nullptr);
 #if defined(__linux__)
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % kHugeAlign, 0u)
-      << "huge-path allocation not 2 MiB-aligned";
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % kPage, 0u)
+      << "large-path allocation not page-aligned";
 #endif
   // Touch every page: first/last byte plus a page-strided sweep.
   auto* bytes_p = static_cast<unsigned char*>(p);
@@ -35,29 +31,17 @@ TEST(MemPolicyTest, HugeAllocIsAlignedAndWritable) {
 }
 
 TEST(MemPolicyTest, SmallAllocWorks) {
-  const std::size_t bytes = 64 * 1024;  // below kHugeThresholdBytes
+  const std::size_t bytes = 64 * 1024;  // below kLargeThresholdBytes
   void* p = alloc_counters(bytes);
   ASSERT_NE(p, nullptr);
   std::memset(p, 0x5c, bytes);
   free_counters(p, bytes);
 }
 
-TEST(MemPolicyTest, HugeAllocLengthRoundsToWholePages) {
-  EXPECT_EQ(huge_alloc_length(1), 4096u);
-  EXPECT_EQ(huge_alloc_length(4096), 4096u);
-  EXPECT_EQ(huge_alloc_length(4097), 8192u);
-  const std::size_t bytes = (3u << 20) + 5;
-  EXPECT_GE(huge_alloc_length(bytes), bytes);
-  EXPECT_EQ(huge_alloc_length(bytes) % 4096u, 0u);
-  // Deallocate recomputes the window from the size alone — the function
-  // must be deterministic.
-  EXPECT_EQ(huge_alloc_length(bytes), huge_alloc_length(bytes));
-}
-
 TEST(MemPolicyTest, CounterVecRoundTripsThroughHugeBacking) {
-  CounterVec v(512 * 1024);  // 4 MiB of doubles: huge path
+  CounterVec v(512 * 1024);  // 4 MiB of doubles: large path
 #if defined(__linux__)
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % kHugeAlign, 0u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % kPage, 0u);
 #endif
   std::iota(v.begin(), v.end(), 0.0);
   CounterVec copy = v;  // copy through the allocator
@@ -69,33 +53,6 @@ TEST(MemPolicyTest, CounterVecRoundTripsThroughHugeBacking) {
   EXPECT_EQ(copy[0], 0.0);
   EXPECT_EQ(copy[15], 15.0);
   EXPECT_EQ(copy.back(), -1.0);
-}
-
-TEST(MemPolicyTest, PlacementHelpersDegradeGracefully) {
-  // node_count is at least 1 everywhere; numa_enabled implies > 1 node.
-  EXPECT_GE(node_count(), 1);
-  if (numa_enabled()) {
-    EXPECT_GT(node_count(), 1);
-  }
-  // current_cpu/current_node: valid index or the documented -1 sentinel.
-  EXPECT_GE(current_cpu(), -1);
-  EXPECT_GE(current_node(), -1);
-  // Out-of-range / degenerate bind requests must return false, not crash.
-  double scratch[16] = {};
-  EXPECT_FALSE(bind_to_node(scratch, sizeof(scratch), -1));
-  EXPECT_FALSE(bind_to_node(scratch, sizeof(scratch), node_count()));
-  EXPECT_FALSE(bind_to_node(scratch, 0, 0));
-  // On a single-node host every bind is a polite no-op.
-  if (node_count() == 1) {
-    EXPECT_FALSE(bind_to_node(scratch, sizeof(scratch), 0));
-  }
-  // Pinning to an invalid CPU must fail cleanly; pinning to the current CPU
-  // may fail under restricted affinity masks, but must not crash.
-  EXPECT_FALSE(pin_current_thread_to_cpu(-1));
-  const int cpu = current_cpu();
-  if (cpu >= 0) {
-    (void)pin_current_thread_to_cpu(cpu);
-  }
 }
 
 }  // namespace

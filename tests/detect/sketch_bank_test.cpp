@@ -6,7 +6,9 @@
 #include <utility>
 #include <vector>
 
+#include "../testing/hfb1.hpp"
 #include "../testing/synthetic.hpp"
+#include "detect/sketch_wire.hpp"
 
 namespace hifind {
 namespace {
@@ -124,6 +126,27 @@ TEST(SketchBankTest, CombineEqualsSingleBank) {
 TEST(SketchBankTest, CombineRejectsDifferentSeeds) {
   SketchBank a(small_bank(1)), b(small_bank(2));
   EXPECT_THROW(a.accumulate(b), std::invalid_argument);
+}
+
+TEST(SketchBankTest, EqualityIsExactOverConfigCountersAndPacketCount) {
+  SketchBank bank(small_bank(5));
+  Pcg32 rng(4);
+  feed_completed(bank, IPv4(100, 1, 1, 1), IPv4(129, 105, 1, 1), 443, 30);
+  feed_flood(bank, IPv4(129, 105, 9, 9), 80, 150, /*spoofed=*/true, rng);
+
+  EXPECT_TRUE(deserialize_bank(serialize_bank(bank)) == bank);
+
+  // One counter differs: flip the top byte of the last counter of the last
+  // array (the SYN/ACK history), just before the trailing packet count.
+  auto frame = testing::hfb1_frame(bank);
+  frame[frame.size() - 9] ^= 0x5a;
+  const SketchBank one_off = deserialize_bank(frame);
+  EXPECT_EQ(one_off.packets_recorded(), bank.packets_recorded());
+  EXPECT_FALSE(one_off == bank);
+
+  // Same (all-zero) counters and packet count, different config.
+  EXPECT_FALSE(SketchBank(small_bank(1)) == SketchBank(small_bank(2)));
+  EXPECT_TRUE(SketchBank(small_bank(1)) == SketchBank(small_bank(1)));
 }
 
 TEST(SketchBankTest, WeightedRecordScalesEveryMetric) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../testing/hfb1.hpp"
 #include "../testing/synthetic.hpp"
 
 namespace hifind {
@@ -9,6 +10,7 @@ namespace {
 
 using testing::feed_completed;
 using testing::feed_flood;
+using testing::hfb1_frame;
 
 SketchBankConfig small_cfg() {
   SketchBankConfig c;
@@ -85,7 +87,7 @@ TEST(SketchWireTest, LegacyHfb1RoundTrips) {
   Pcg32 rng(9);
   feed_flood(bank, IPv4(129, 105, 9, 9), 80, 120, true, rng);
 
-  const auto v1 = serialize_bank_hfb1(bank);
+  const auto v1 = hfb1_frame(bank);
   ASSERT_EQ(v1[0], 'H');
   ASSERT_EQ(v1[3], '1');
   const SketchBank back = deserialize_bank(v1);
@@ -155,7 +157,7 @@ TEST(SketchWireTest, TypedFaultsNameTheRejection) {
 
 TEST(SketchWireTest, Hfb1TrailingBytesRejected) {
   SketchBank bank(small_cfg());
-  auto v1 = serialize_bank_hfb1(bank);
+  auto v1 = hfb1_frame(bank);
   v1.push_back(0xaa);
   try {
     deserialize_bank(v1);

@@ -1,6 +1,6 @@
 // Table-driven corruption sweep over the bank wire format: flip every byte
 // of a small serialized bank, one at a time, and assert deserialize_bank
-// either throws WireError or yields a bank byte-equal to the original —
+// either throws WireError or yields a bank equal to the original —
 // never crashes, never silently hands back different counters that would
 // mis-combine at the central site.
 //
@@ -14,6 +14,7 @@
 
 #include <vector>
 
+#include "../testing/hfb1.hpp"
 #include "detect/sketch_wire.hpp"
 
 namespace hifind {
@@ -52,12 +53,6 @@ SketchBank populated_bank() {
   return bank;
 }
 
-bool banks_byte_equal(const SketchBank& a, const SketchBank& b) {
-  // The serialized body is the complete observable state (config, every
-  // counter, packets_recorded), so frame equality == bank equality.
-  return serialize_bank_hfb1(a) == serialize_bank_hfb1(b);
-}
-
 TEST(WireCorruptionTest, EveryHfb2ByteFlipRejectedOrHarmless) {
   const SketchBank bank = populated_bank();
   const auto clean = serialize_frame(bank, /*router_id=*/3, /*interval=*/7);
@@ -73,7 +68,7 @@ TEST(WireCorruptionTest, EveryHfb2ByteFlipRejectedOrHarmless) {
       // interval — bytes 4..15) can get here, and the bank must be intact.
       EXPECT_GE(i, 4u) << "magic flip decoded";
       EXPECT_LT(i, 16u) << "checksummed byte " << i << " flip decoded";
-      EXPECT_TRUE(banks_byte_equal(back, bank))
+      EXPECT_TRUE(back == bank)
           << "byte " << i << ": decoded bank differs (silent mis-combine)";
       ++decoded_harmless;
     } catch (const WireError&) {
@@ -92,7 +87,7 @@ TEST(WireCorruptionTest, EveryHfb1ByteFlipRejectedOrDecodes) {
   // Legacy frames have no checksum: the sweep asserts the weaker "never
   // crashes" contract — every flip either throws WireError or decodes.
   const SketchBank bank = populated_bank();
-  const auto clean = serialize_bank_hfb1(bank);
+  const auto clean = testing::hfb1_frame(bank);
 
   std::size_t rejected = 0, decoded = 0, silently_different = 0;
   for (std::size_t i = 0; i < clean.size(); ++i) {
@@ -101,7 +96,7 @@ TEST(WireCorruptionTest, EveryHfb1ByteFlipRejectedOrDecodes) {
     try {
       const SketchBank back = deserialize_bank(corrupt);
       ++decoded;
-      if (!banks_byte_equal(back, bank)) ++silently_different;
+      if (!(back == bank)) ++silently_different;
     } catch (const WireError&) {
       ++rejected;
     }
